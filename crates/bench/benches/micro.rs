@@ -5,10 +5,10 @@
 //! experiment.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use prague::{PragueSystem, SystemParams};
+use prague::{PragueSystem, ShardPlan, ShardedIndexes, SystemParams};
 use prague_datagen::{molecules_generate, MoleculeConfig};
 use prague_graph::{cam_code, Graph, GraphDb, Label};
-use prague_index::{A2fConfig, ActionAwareIndexes, DfBacking};
+use prague_index::{A2fConfig, DfBacking};
 use prague_mining::{mine, mine_classified, MiningConfig};
 use prague_spig::{SpigSet, VisualQuery};
 use std::hint::black_box;
@@ -122,7 +122,9 @@ fn bench_codec(c: &mut Criterion) {
 fn bench_spig_and_candidates(c: &mut Criterion) {
     let db = bench_db(400);
     let result = mine_classified(&db, 0.15, 8);
-    let indexes = ActionAwareIndexes::build(
+    let facade = ShardedIndexes::from_result(
+        &db,
+        ShardPlan::new(1),
         &result,
         &A2fConfig {
             beta: 3,
@@ -131,7 +133,8 @@ fn bench_spig_and_candidates(c: &mut Criterion) {
         },
     )
     .unwrap();
-    indexes.a2f.warm().unwrap();
+    facade.warm().unwrap();
+    let indexes = facade.catalog();
 
     // formulate the bench query's first 8 edges, measure adding the 9th
     let q = bench_query();
@@ -169,22 +172,12 @@ fn bench_spig_and_candidates(c: &mut Criterion) {
     c.bench_function("exact_sub_candidates_target", |b| {
         b.iter(|| {
             let v = set.target_vertex(&query).unwrap();
-            prague::exact_sub_candidates(v, &indexes.a2f, &indexes.a2i, db.len())
+            prague::exact_sub_candidates(v, &facade, db.len())
         })
     });
 
     c.bench_function("similar_sub_candidates_sigma3", |b| {
-        b.iter(|| {
-            prague::similar_sub_candidates(
-                query.size(),
-                3,
-                &set,
-                &indexes.a2f,
-                &indexes.a2i,
-                db.len(),
-                None,
-            )
-        })
+        b.iter(|| prague::similar_sub_candidates(query.size(), 3, &set, &facade, db.len(), None))
     });
 }
 

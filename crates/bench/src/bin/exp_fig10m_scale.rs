@@ -12,8 +12,8 @@
 //! single-core box, so the profile reports the measured per-shard walls
 //! and gates on the *critical path* (each shard's wall is really
 //! measured; only the "they run at once" part is modeled). At 1 shard
-//! the backend is the classic unsharded engine and the critical path is
-//! simply the measured mine+index wall. `speedup` is
+//! the lone shard mines the whole database and the critical path is
+//! simply its measured mine+index wall. `speedup` is
 //! `critical_path(1 shard) / critical_path(N shards)` — near-linear
 //! scaling is the headline claim (pigeonhole keeps wave 1 complete, so
 //! shards never re-mine the whole database).
@@ -187,17 +187,7 @@ fn main() {
         system.set_threads(1); // pure session-thread step cost
         system.set_obs(Obs::enabled());
 
-        let (critical_path_ms, shard_ms, merge_ms, imbalance) = match system.shard_stats() {
-            Some(s) => (
-                s.critical_path_ms(),
-                s.shard_ms.clone(),
-                s.merge_ms,
-                s.imbalance_x1000,
-            ),
-            // 1 shard = the unsharded backend: the critical path is the
-            // measured mine+index wall itself.
-            None => (build_wall.as_millis() as u64, Vec::new(), 0, 1000),
-        };
+        let stats = system.shard_stats();
 
         let (steps, run_ms, ids) = replay_timed(&system, &specs);
         let states = system
@@ -219,10 +209,10 @@ fn main() {
         rounds.push(Round {
             shards,
             build_wall,
-            critical_path_ms,
-            shard_ms,
-            merge_ms,
-            imbalance_x1000: imbalance,
+            critical_path_ms: stats.critical_path_ms(),
+            shard_ms: stats.shard_ms.clone(),
+            merge_ms: stats.merge_ms,
+            imbalance_x1000: stats.imbalance_x1000,
             step_p50_ms: quantile(&steps, 0.50),
             step_p99_ms: quantile(&steps, 0.99),
             step_max_ms: quantile(&steps, 1.0),

@@ -41,12 +41,12 @@ verification speculatively during formulation think time; `--threads 1`
 either way. The default can also be set via the PRAGUE_THREADS
 environment variable (the flag wins).
 
-`--shards N` partitions the database and the action-aware indexes
-across N shards by consistent hash of the graph id (see
-ARCHITECTURE.md § \"Sharded index\"); `--shards 1` (the default) is the
-classic single-index layout. Query answers are byte-identical either
-way. The default can also be set via the PRAGUE_SHARDS environment
-variable (the flag wins).
+`--shards N` keeps the action-aware indexes as N index pairs, graphs
+placed by consistent hash of the graph id (see ARCHITECTURE.md §
+\"Index facade\"); `--shards 1` (the default) keeps one pair holding
+everything. Query answers are byte-identical at every count. The
+default can also be set via the PRAGUE_SHARDS environment variable
+(the flag wins).
 ";
 
 /// Parsed `generate` options.
@@ -120,7 +120,7 @@ pub struct QueryArgs {
     pub trace: bool,
     /// Verification worker threads (1 = sequential).
     pub threads: usize,
-    /// Index shard count (1 = unsharded).
+    /// Index shard count (default 1).
     pub shards: usize,
     /// Observability reporting mode.
     pub stats: StatsMode,
@@ -137,7 +137,7 @@ pub struct InteractiveArgs {
     pub beta: usize,
     /// Verification worker threads (1 = sequential).
     pub threads: usize,
-    /// Index shard count (1 = unsharded).
+    /// Index shard count (default 1).
     pub shards: usize,
     /// Observability reporting mode.
     pub stats: StatsMode,
@@ -156,7 +156,7 @@ pub struct ServeArgs {
     pub beta: usize,
     /// Verification worker threads shared by all sessions.
     pub threads: usize,
-    /// Index shard count (1 = unsharded).
+    /// Index shard count (default 1).
     pub shards: usize,
     /// Hard cap on concurrently live sessions.
     pub max_sessions: usize,
@@ -295,7 +295,7 @@ fn default_threads() -> usize {
 }
 
 /// The `--shards` default: the `PRAGUE_SHARDS` environment variable if
-/// set and parseable, else 1 (unsharded). CI uses the variable to run
+/// set and parseable, else 1. CI uses the variable to run
 /// the whole suite under a fixed shard count.
 fn default_shards() -> usize {
     std::env::var("PRAGUE_SHARDS")
@@ -546,7 +546,7 @@ mod tests {
             Command::Query(q) => assert_eq!(q.shards, 4),
             _ => panic!(),
         }
-        // 0 is clamped to unsharded rather than rejected.
+        // 0 is clamped to one shard rather than rejected.
         let cmd = parse_args(&argv("serve --catalog c.prgc --shards 0")).unwrap();
         match cmd {
             Command::Serve(s) => assert_eq!(s.shards, 1),

@@ -134,6 +134,40 @@ pub fn connected_order(q: &Graph) -> Vec<usize> {
     order
 }
 
+/// Load a catalog and stand up a ready-to-query system over it: indexes
+/// rebuilt at `shards` shards and warmed, verification pool sized, and
+/// (with `--stats`) observability attached *after* warming so the
+/// snapshot covers only the session.
+fn load_system(
+    catalog: &std::path::Path,
+    beta: usize,
+    shards: usize,
+    threads: usize,
+    stats: StatsMode,
+) -> Result<PragueSystem, String> {
+    let (db, labels, mining) = persist::load_catalog(catalog).map_err(|e| e.to_string())?;
+    let max_edges = mining.frequent.iter().map(|f| f.size()).max().unwrap_or(1);
+    let mut system = PragueSystem::from_mining_result(
+        db,
+        labels,
+        mining,
+        SystemParams {
+            alpha: 0.0, // recorded in the catalog's mining pass; unused here
+            beta,
+            max_fragment_edges: max_edges,
+            shards,
+            ..Default::default()
+        },
+    )
+    .map_err(|e| e.to_string())?;
+    system.warm().map_err(|e| e.to_string())?;
+    system.set_threads(threads);
+    if stats.is_on() {
+        system.set_obs(Obs::enabled());
+    }
+    Ok(system)
+}
+
 /// Print an observability snapshot in the requested mode (no-op when the
 /// handle is disabled or the mode is `Off`).
 fn print_stats(system: &PragueSystem, mode: StatsMode) {
@@ -151,29 +185,15 @@ fn print_stats(system: &PragueSystem, mode: StatsMode) {
 /// indexes, replay the query and print the results — plus, with
 /// `--stats[=json]`, the observability snapshot of the whole replay.
 pub fn query(args: &QueryArgs) -> Result<(), String> {
-    let (db, labels, mining) = persist::load_catalog(&args.catalog).map_err(|e| e.to_string())?;
-    let alpha_hint = mining.frequent.len(); // informational only
-    let _ = alpha_hint;
-    let max_edges = mining.frequent.iter().map(|f| f.size()).max().unwrap_or(1);
-    let mut system = PragueSystem::from_mining_result(
-        db,
-        labels.clone(),
-        mining,
-        SystemParams {
-            alpha: 0.0, // recorded in the catalog's mining pass; unused here
-            beta: args.beta,
-            max_fragment_edges: max_edges,
-            shards: args.shards,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    system.warm().map_err(|e| e.to_string())?;
-    system.set_threads(args.threads);
-    if args.stats.is_on() {
-        // attach after warm() so the snapshot covers only the session
-        system.set_obs(Obs::enabled());
-    }
+    let system = load_system(
+        &args.catalog,
+        args.beta,
+        args.shards,
+        args.threads,
+        args.stats,
+    )?;
+    let labels = system.labels();
+    let max_edges = system.params().max_fragment_edges;
 
     // the query file's labels must resolve against the catalog's table
     let mut qlabels = labels.clone();
@@ -240,26 +260,13 @@ pub fn query(args: &QueryArgs) -> Result<(), String> {
 /// With `--stats[=json]` the observability snapshot is printed on exit (and
 /// available mid-session via the `stats` REPL command).
 pub fn interactive(args: &InteractiveArgs) -> Result<(), String> {
-    let (db, labels, mining) = persist::load_catalog(&args.catalog).map_err(|e| e.to_string())?;
-    let max_edges = mining.frequent.iter().map(|f| f.size()).max().unwrap_or(1);
-    let mut system = PragueSystem::from_mining_result(
-        db,
-        labels,
-        mining,
-        SystemParams {
-            alpha: 0.0,
-            beta: args.beta,
-            max_fragment_edges: max_edges,
-            shards: args.shards,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    system.warm().map_err(|e| e.to_string())?;
-    system.set_threads(args.threads);
-    if args.stats.is_on() {
-        system.set_obs(Obs::enabled());
-    }
+    let system = load_system(
+        &args.catalog,
+        args.beta,
+        args.shards,
+        args.threads,
+        args.stats,
+    )?;
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();
     crate::interactive::run_repl(&system, args.sigma, stdin.lock(), &mut stdout)
@@ -287,27 +294,13 @@ pub fn serve_until<R: std::io::BufRead>(
     control: R,
     on_ready: impl FnOnce(std::net::SocketAddr),
 ) -> Result<(), String> {
-    let (db, labels, mining) = persist::load_catalog(&args.catalog).map_err(|e| e.to_string())?;
-    let max_edges = mining.frequent.iter().map(|f| f.size()).max().unwrap_or(1);
-    let mut system = PragueSystem::from_mining_result(
-        db,
-        labels,
-        mining,
-        SystemParams {
-            alpha: 0.0,
-            beta: args.beta,
-            max_fragment_edges: max_edges,
-            shards: args.shards,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    system.warm().map_err(|e| e.to_string())?;
-    system.set_threads(args.threads);
-    if args.stats.is_on() {
-        system.set_obs(Obs::enabled());
-    }
-    let system = std::sync::Arc::new(system);
+    let system = std::sync::Arc::new(load_system(
+        &args.catalog,
+        args.beta,
+        args.shards,
+        args.threads,
+        args.stats,
+    )?);
     let manager = std::sync::Arc::new(SessionManager::new(
         std::sync::Arc::clone(&system),
         ServerConfig {

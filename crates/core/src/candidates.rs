@@ -17,7 +17,7 @@
 
 use prague_graph::{CamCode, GraphId};
 use prague_idset::{intersect_all, IdSet, Memo};
-use prague_index::{A2fId, A2fIndex, A2iId, A2iIndex, StoreError};
+use prague_index::StoreError;
 use prague_obs::{names, Obs};
 use prague_shard::ShardedIndexes;
 use prague_spig::{SpigSet, SpigVertex};
@@ -155,44 +155,6 @@ impl CandMemo {
     }
 }
 
-/// How candidate generation reaches FSG lists: one process-wide index
-/// pair, or N per-shard pairs merged through the `prague-shard` facade.
-/// Structural catalog lookups (CAM → id, sizes, DAG navigation) are
-/// identical either way — the shards share the global fragment order —
-/// so only FSG fan-out dispatches here. Candidate *values* are identical
-/// in both arms: the sharded FSG union reproduces the unsharded list
-/// exactly, which is what keeps sharded sessions byte-compatible.
-#[derive(Debug, Clone, Copy)]
-pub enum IndexesRef<'a> {
-    /// The original single-index layout.
-    Single {
-        /// The frequent-fragment index.
-        a2f: &'a A2fIndex,
-        /// The DIF index.
-        a2i: &'a A2iIndex,
-    },
-    /// Per-shard index pairs behind the merged read facade.
-    Sharded(&'a ShardedIndexes),
-}
-
-impl IndexesRef<'_> {
-    /// FSG ids of frequent fragment `id`, merged across shards.
-    pub fn a2f_fsg(&self, id: A2fId) -> Result<Arc<IdSet>, StoreError> {
-        match self {
-            IndexesRef::Single { a2f, .. } => a2f.fsg_ids(id),
-            IndexesRef::Sharded(s) => s.a2f_fsg(id),
-        }
-    }
-
-    /// FSG ids of DIF `id`, merged across shards.
-    pub fn a2i_fsg(&self, id: A2iId) -> Arc<IdSet> {
-        match self {
-            IndexesRef::Single { a2i, .. } => a2i.fsg_ids(id),
-            IndexesRef::Sharded(s) => s.a2i_fsg(id),
-        }
-    }
-}
-
 /// Heap footprint of a cached whole-query similarity output.
 fn similar_heap_bytes(sc: &SimilarCandidates) -> usize {
     sc.levels
@@ -219,19 +181,7 @@ fn similar_heap_bytes(sc: &SimilarCandidates) -> usize {
 /// before (any level, any SPIG, any earlier edit of the session).
 pub fn exact_sub_candidate_set(
     v: &SpigVertex,
-    a2f: &A2fIndex,
-    a2i: &A2iIndex,
-    db_len: usize,
-    memo: Option<&CandMemo>,
-) -> Result<Arc<IdSet>, StoreError> {
-    exact_sub_candidate_set_in(v, IndexesRef::Single { a2f, a2i }, db_len, memo)
-}
-
-/// [`exact_sub_candidate_set`] over either index layout (single or
-/// sharded) — the interactive pipeline's entry point.
-pub fn exact_sub_candidate_set_in(
-    v: &SpigVertex,
-    ix: IndexesRef<'_>,
+    ix: &ShardedIndexes,
     db_len: usize,
     memo: Option<&CandMemo>,
 ) -> Result<Arc<IdSet>, StoreError> {
@@ -271,11 +221,10 @@ pub fn exact_sub_candidate_set_in(
 /// interactive pipeline stays on sets).
 pub fn exact_sub_candidates(
     v: &SpigVertex,
-    a2f: &A2fIndex,
-    a2i: &A2iIndex,
+    ix: &ShardedIndexes,
     db_len: usize,
 ) -> Result<Vec<GraphId>, StoreError> {
-    Ok(exact_sub_candidate_set(v, a2f, a2i, db_len, None)?.to_vec())
+    Ok(exact_sub_candidate_set(v, ix, db_len, None)?.to_vec())
 }
 
 /// Whether the fragment of `v` is *exactly* indexed, making its candidate
@@ -366,28 +315,7 @@ pub fn similar_sub_candidates(
     q_size: usize,
     sigma: usize,
     set: &SpigSet,
-    a2f: &A2fIndex,
-    a2i: &A2iIndex,
-    db_len: usize,
-    memo: Option<&CandMemo>,
-) -> Result<SimilarCandidates, StoreError> {
-    similar_sub_candidates_in(
-        q_size,
-        sigma,
-        set,
-        IndexesRef::Single { a2f, a2i },
-        db_len,
-        memo,
-    )
-}
-
-/// [`similar_sub_candidates`] over either index layout (single or
-/// sharded) — the interactive pipeline's entry point.
-pub fn similar_sub_candidates_in(
-    q_size: usize,
-    sigma: usize,
-    set: &SpigSet,
-    ix: IndexesRef<'_>,
+    ix: &ShardedIndexes,
     db_len: usize,
     memo: Option<&CandMemo>,
 ) -> Result<SimilarCandidates, StoreError> {
@@ -414,7 +342,7 @@ pub fn similar_sub_candidates_in(
         let mut free = IdSet::new();
         let mut ver = IdSet::new();
         for (v, _mask) in distinct_level_fragments(set, i) {
-            let cands = exact_sub_candidate_set_in(v, ix, db_len, memo)?;
+            let cands = exact_sub_candidate_set(v, ix, db_len, memo)?;
             if is_verification_free(v) {
                 free.union_with(cands.as_ref());
             } else {

@@ -51,15 +51,11 @@ pub mod session;
 pub mod verify;
 
 pub use candidates::{
-    exact_sub_candidate_set, exact_sub_candidate_set_in, exact_sub_candidates,
-    similar_sub_candidates, similar_sub_candidates_in, CandMemo, IndexesRef, LevelCandidates,
-    SimilarCandidates,
+    exact_sub_candidate_set, exact_sub_candidates, similar_sub_candidates, CandMemo,
+    LevelCandidates, SimilarCandidates,
 };
 pub use history::{ActionKind, ActionRecord, SessionLog};
-pub use modify::{
-    deletion_options, deletion_options_in, suggest_deletion, suggest_deletion_in,
-    DeletionSuggestion,
-};
+pub use modify::{deletion_options, suggest_deletion, DeletionSuggestion};
 pub use results::{similar_results_gen, similar_results_gen_with, SimilarMatch, SimilarResults};
 pub use session::{
     ModifyOutcome, QueryResults, RunOutcome, Session, SessionError, StepOutcome, StepStatus,
@@ -68,14 +64,13 @@ pub use verify::{
     exact_verification, exact_verification_obs, exact_verification_par, SimVerifier, VerifyCost,
 };
 
-pub use prague_shard::{ShardBuildStats, ShardPlan};
+pub use prague_shard::{ShardBuildStats, ShardPlan, ShardedIndexes};
 
 use prague_graph::{GraphDb, LabelTable};
 use prague_index::{A2fConfig, ActionAwareIndexes, DfBacking, IndexFootprint, StoreError};
-use prague_mining::{mine_classified, MiningResult};
+use prague_mining::MiningResult;
 use prague_obs::Obs;
 use prague_par::Pool;
-use prague_shard::ShardedIndexes;
 use std::sync::Arc;
 
 /// Offline construction parameters (defaults follow the paper's real-dataset
@@ -90,10 +85,10 @@ pub struct SystemParams {
     pub max_fragment_edges: usize,
     /// DF-index storage backing.
     pub backing: DfBacking,
-    /// Index shard count (1 = the classic unsharded layout). With
-    /// `shards > 1` the database is partitioned by consistent hash of the
-    /// graph id, mined shard-parallel, and indexed per shard behind a
-    /// merged facade — query answers stay byte-identical to unsharded.
+    /// Index shard count. The indexes are always `shards` A²F/A²I pairs
+    /// behind one [`ShardedIndexes`] facade, graphs placed by consistent
+    /// hash of their id; with more than one shard mining runs
+    /// shard-parallel. Query answers are byte-identical at every count.
     pub shards: usize,
 }
 
@@ -122,34 +117,11 @@ pub struct BuildStats {
     pub build_time: std::time::Duration,
 }
 
-/// The live index layout: one global index pair, or N per-shard pairs
-/// behind the [`ShardedIndexes`] merge facade. Every read dispatches
-/// through [`IndexesRef`]; the structural catalog (CAM lookup, sizes,
-/// DAG edges) is identical either way.
-// One instance per system, so the variant size gap is irrelevant and
-// boxing would cost a pointer chase on every catalog read.
-#[allow(clippy::large_enum_variant)]
-enum IndexBackend {
-    Single(ActionAwareIndexes),
-    Sharded(ShardedIndexes),
-}
-
-impl IndexBackend {
-    fn catalog(&self) -> &ActionAwareIndexes {
-        match self {
-            IndexBackend::Single(ix) => ix,
-            IndexBackend::Sharded(s) => s.catalog(),
-        }
-    }
-
-    fn as_ref(&self) -> IndexesRef<'_> {
-        match self {
-            IndexBackend::Single(ix) => IndexesRef::Single {
-                a2f: &ix.a2f,
-                a2i: &ix.a2i,
-            },
-            IndexBackend::Sharded(s) => IndexesRef::Sharded(s),
-        }
+fn a2f_config(params: &SystemParams) -> A2fConfig {
+    A2fConfig {
+        beta: params.beta,
+        backing: params.backing.clone(),
+        store_full_ids: false,
     }
 }
 
@@ -160,7 +132,7 @@ pub struct PragueSystem {
     /// [`Session`] holds on the system (they clone the `Arc`, not the db).
     db: Arc<GraphDb>,
     labels: LabelTable,
-    indexes: IndexBackend,
+    indexes: ShardedIndexes,
     params: SystemParams,
     stats: BuildStats,
     /// Graphs inserted since construction (see `insert_graph`).
@@ -181,65 +153,29 @@ impl PragueSystem {
     }
 
     /// [`PragueSystem::build`] keeping a label table for name-based lookups
-    /// (the GUI's label panel).
+    /// (the GUI's label panel). Shard-parallel mining runs on a transient
+    /// pool: the system's verification pool is configured only after
+    /// construction, via [`PragueSystem::set_threads`].
     pub fn build_with_labels(
         db: GraphDb,
         labels: LabelTable,
         params: SystemParams,
     ) -> Result<Self, StoreError> {
         let t0 = std::time::Instant::now();
-        if params.shards > 1 {
-            return Self::build_sharded(db, labels, params, t0);
-        }
-        let result = mine_classified(&db, params.alpha, params.max_fragment_edges);
-        Self::from_mining(db, labels, result, params, t0)
-    }
-
-    /// The sharded offline build: partition, mine shard-parallel on a
-    /// transient pool (the system's verification pool is configured only
-    /// after construction, via [`PragueSystem::set_threads`]), and build
-    /// one restricted index pair per shard.
-    fn build_sharded(
-        db: GraphDb,
-        labels: LabelTable,
-        params: SystemParams,
-        t0: std::time::Instant,
-    ) -> Result<Self, StoreError> {
         let plan = ShardPlan::new(params.shards);
         let workers = std::thread::available_parallelism()
             .map_or(1, |n| n.get())
             .min(plan.shards());
         let pool = (workers > 1).then(|| Arc::new(Pool::new(workers, Obs::disabled())));
-        let (sharded, result) = ShardedIndexes::build(
+        let (indexes, result) = ShardedIndexes::build(
             &db,
             plan,
             params.alpha,
             params.max_fragment_edges,
-            &A2fConfig {
-                beta: params.beta,
-                backing: params.backing.clone(),
-                store_full_ids: false,
-            },
+            &a2f_config(&params),
             pool.as_ref(),
         )?;
-        let stats = BuildStats {
-            frequent_fragments: result.frequent.len(),
-            difs: result.difs.len(),
-            nifs_seen: result.nif_count,
-            build_time: t0.elapsed(),
-        };
-        Ok(PragueSystem {
-            db: Arc::new(db),
-            labels,
-            indexes: IndexBackend::Sharded(sharded),
-            params,
-            stats,
-            inserted: 0,
-            index_epoch: 0,
-            obs: Obs::disabled(),
-            threads: 1,
-            pool: None,
-        })
+        Ok(Self::assemble(db, labels, indexes, &result, params, t0))
     }
 
     /// Build from an existing mining result (lets callers reuse one mining
@@ -251,49 +187,37 @@ impl PragueSystem {
         result: MiningResult,
         params: SystemParams,
     ) -> Result<Self, StoreError> {
-        Self::from_mining(db, labels, result, params, std::time::Instant::now())
+        let t0 = std::time::Instant::now();
+        let plan = ShardPlan::new(params.shards);
+        let indexes = ShardedIndexes::from_result(&db, plan, &result, &a2f_config(&params))?;
+        Ok(Self::assemble(db, labels, indexes, &result, params, t0))
     }
 
-    fn from_mining(
+    fn assemble(
         db: GraphDb,
         labels: LabelTable,
-        result: MiningResult,
+        indexes: ShardedIndexes,
+        result: &MiningResult,
         params: SystemParams,
         t0: std::time::Instant,
-    ) -> Result<Self, StoreError> {
-        let config = A2fConfig {
-            beta: params.beta,
-            backing: params.backing.clone(),
-            store_full_ids: false,
-        };
-        let indexes = if params.shards > 1 {
-            IndexBackend::Sharded(ShardedIndexes::from_result(
-                &db,
-                ShardPlan::new(params.shards),
-                &result,
-                &config,
-            )?)
-        } else {
-            IndexBackend::Single(ActionAwareIndexes::build(&result, &config)?)
-        };
-        let stats = BuildStats {
-            frequent_fragments: result.frequent.len(),
-            difs: result.difs.len(),
-            nifs_seen: result.nif_count,
-            build_time: t0.elapsed(),
-        };
-        Ok(PragueSystem {
+    ) -> Self {
+        PragueSystem {
             db: Arc::new(db),
             labels,
             indexes,
             params,
-            stats,
+            stats: BuildStats {
+                frequent_fragments: result.frequent.len(),
+                difs: result.difs.len(),
+                nifs_seen: result.nif_count,
+                build_time: t0.elapsed(),
+            },
             inserted: 0,
             index_epoch: 0,
             obs: Obs::disabled(),
             threads: 1,
             pool: None,
-        })
+        }
     }
 
     /// Attach an observability handle: the indexes (and their DF blob
@@ -302,13 +226,7 @@ impl PragueSystem {
     /// [`Obs::enabled`] to start collecting; the default is a disabled
     /// handle with no recording overhead beyond one branch per probe.
     pub fn set_obs(&mut self, obs: Obs) {
-        match &mut self.indexes {
-            IndexBackend::Single(ix) => {
-                ix.a2f.set_obs(obs.clone());
-                ix.a2i.set_obs(obs.clone());
-            }
-            IndexBackend::Sharded(s) => s.set_obs(obs.clone()),
-        }
+        self.indexes.set_obs(obs.clone());
         self.obs = obs;
         // the verification pool records `par.*` into the system handle
         self.rebuild_pool();
@@ -383,44 +301,36 @@ impl PragueSystem {
         &self.labels
     }
 
-    /// The action-aware indexes — under a sharded backend, the structural
-    /// *catalog* (CAM lookup, fragment sizes, DAG edges; identical on
-    /// every shard). FSG lists read directly from the catalog cover only
-    /// one shard, so candidate generation dispatches through
-    /// [`PragueSystem::indexes_ref`] instead.
+    /// The structural *catalog* of the action-aware indexes (CAM lookup,
+    /// fragment sizes, DAG edges; identical on every shard). FSG lists
+    /// read directly from the catalog cover only its shard, so candidate
+    /// generation resolves them through [`PragueSystem::indexes_ref`].
     pub fn indexes(&self) -> &ActionAwareIndexes {
         self.indexes.catalog()
     }
 
-    /// A borrowed view over whichever index layout is live — the handle
-    /// candidate generation and modification suggestions dispatch on.
-    pub fn indexes_ref(&self) -> IndexesRef<'_> {
-        self.indexes.as_ref()
+    /// The index facade candidate generation and modification
+    /// suggestions read FSG lists through.
+    pub fn indexes_ref(&self) -> &ShardedIndexes {
+        &self.indexes
     }
 
-    /// Number of index shards (1 = the classic unsharded layout).
+    /// Number of index shards.
     pub fn shard_count(&self) -> usize {
-        match &self.indexes {
-            IndexBackend::Single(_) => 1,
-            IndexBackend::Sharded(s) => s.shard_count(),
-        }
+        self.indexes.shard_count()
     }
 
-    /// The placement plan when the index backend is sharded across more
-    /// than one shard (verification uses it to chunk shard-locally).
+    /// The placement plan when there is more than one shard
+    /// (verification uses it to chunk shard-locally).
     pub fn shard_plan(&self) -> Option<ShardPlan> {
-        match &self.indexes {
-            IndexBackend::Sharded(s) if !s.plan().is_single() => Some(s.plan()),
-            _ => None,
-        }
+        let plan = self.indexes.plan();
+        (!plan.is_single()).then_some(plan)
     }
 
-    /// Offline sharded-build accounting, when the backend is sharded.
-    pub fn shard_stats(&self) -> Option<&ShardBuildStats> {
-        match &self.indexes {
-            IndexBackend::Sharded(s) => Some(s.stats()),
-            IndexBackend::Single(_) => None,
-        }
+    /// Offline build accounting: per-shard mining + index wall time, the
+    /// serial merge, and the placement imbalance.
+    pub fn shard_stats(&self) -> &ShardBuildStats {
+        self.indexes.stats()
     }
 
     /// Build parameters.
@@ -434,21 +344,15 @@ impl PragueSystem {
     }
 
     /// Combined index footprint (Table II / Fig 10(a) accounting; summed
-    /// across shards under a sharded backend).
+    /// across shards).
     pub fn index_footprint(&self) -> IndexFootprint {
-        match &self.indexes {
-            IndexBackend::Single(ix) => ix.footprint(),
-            IndexBackend::Sharded(s) => s.footprint(),
-        }
+        self.indexes.footprint()
     }
 
     /// Pre-resolve all FSG-id lists (see [`prague_index::A2fIndex::warm`]).
     /// Call once after build when steady-state step latencies matter.
     pub fn warm(&self) -> Result<(), prague_index::StoreError> {
-        match &self.indexes {
-            IndexBackend::Single(ix) => ix.a2f.warm(),
-            IndexBackend::Sharded(s) => s.warm(),
-        }
+        self.indexes.warm()
     }
 
     /// Insert a data graph into the running system, maintaining both
@@ -468,15 +372,7 @@ impl PragueSystem {
         // impossible here, since `&mut self` excludes live sessions.
         let gid = Arc::make_mut(&mut self.db).push(g);
         let g = self.db.graph(gid).clone();
-        match &mut self.indexes {
-            IndexBackend::Single(ix) => {
-                ix.a2f.register_graph(gid, &g)?;
-                let a2f = &ix.a2f;
-                ix.a2i
-                    .register_graph(gid, &g, |cam| a2f.lookup(cam).is_some());
-            }
-            IndexBackend::Sharded(s) => s.register_graph(gid, &g)?,
-        }
+        self.indexes.register_graph(gid, &g)?;
         self.inserted += 1;
         self.index_epoch += 1;
         Ok(gid)

@@ -15,10 +15,11 @@
 //! is cache replay: sets are compared by [`prague_idset::IdSet::len`]
 //! (no materialization) and only the winner is expanded into ids.
 
-use crate::candidates::{exact_sub_candidate_set_in, CandMemo, IndexesRef};
+use crate::candidates::{exact_sub_candidate_set, CandMemo};
 use prague_graph::GraphId;
 use prague_idset::IdSet;
-use prague_index::{A2fIndex, A2iIndex, StoreError};
+use prague_index::StoreError;
+use prague_shard::ShardedIndexes;
 use prague_spig::{EdgeLabelId, SpigSet, VisualQuery};
 use std::sync::Arc;
 
@@ -38,19 +39,7 @@ pub struct DeletionSuggestion {
 pub fn suggest_deletion(
     query: &VisualQuery,
     set: &SpigSet,
-    a2f: &A2fIndex,
-    a2i: &A2iIndex,
-    db_len: usize,
-    memo: Option<&CandMemo>,
-) -> Result<Option<DeletionSuggestion>, StoreError> {
-    suggest_deletion_in(query, set, IndexesRef::Single { a2f, a2i }, db_len, memo)
-}
-
-/// [`suggest_deletion`] over either index layout (single or sharded).
-pub fn suggest_deletion_in(
-    query: &VisualQuery,
-    set: &SpigSet,
-    ix: IndexesRef<'_>,
+    ix: &ShardedIndexes,
     db_len: usize,
     memo: Option<&CandMemo>,
 ) -> Result<Option<DeletionSuggestion>, StoreError> {
@@ -65,7 +54,7 @@ pub fn suggest_deletion_in(
         let Some(vertex) = set.vertex_by_mask(mask) else {
             continue;
         };
-        let candidates = exact_sub_candidate_set_in(vertex, ix, db_len, memo)?;
+        let candidates = exact_sub_candidate_set(vertex, ix, db_len, memo)?;
         let better = match &best {
             None => true,
             Some((_, b)) => candidates.len() > b.len(),
@@ -84,18 +73,7 @@ pub fn suggest_deletion_in(
 pub fn deletion_options(
     query: &VisualQuery,
     set: &SpigSet,
-    a2f: &A2fIndex,
-    a2i: &A2iIndex,
-    db_len: usize,
-) -> Result<Vec<(EdgeLabelId, usize)>, StoreError> {
-    deletion_options_in(query, set, IndexesRef::Single { a2f, a2i }, db_len)
-}
-
-/// [`deletion_options`] over either index layout (single or sharded).
-pub fn deletion_options_in(
-    query: &VisualQuery,
-    set: &SpigSet,
-    ix: IndexesRef<'_>,
+    ix: &ShardedIndexes,
     db_len: usize,
 ) -> Result<Vec<(EdgeLabelId, usize)>, StoreError> {
     let live = query.live_mask();
@@ -106,7 +84,7 @@ pub fn deletion_options_in(
         }
         let mask = live & !(1u64 << (label - 1));
         if let Some(vertex) = set.vertex_by_mask(mask) {
-            let count = exact_sub_candidate_set_in(vertex, ix, db_len, None)?.len();
+            let count = exact_sub_candidate_set(vertex, ix, db_len, None)?.len();
             out.push((label, count));
         }
     }

@@ -18,10 +18,10 @@
 //! (the only work the user actually waits for).
 
 use crate::candidates::{
-    exact_sub_candidate_set_in, similar_sub_candidates_in, CandMemo, SimilarCandidates,
+    exact_sub_candidate_set, similar_sub_candidates, CandMemo, SimilarCandidates,
 };
 use crate::history::{ActionKind, ActionRecord, SessionLog};
-use crate::modify::{suggest_deletion_in, DeletionSuggestion};
+use crate::modify::{suggest_deletion, DeletionSuggestion};
 use crate::results::{similar_results_gen_with, SimilarResults};
 use crate::verify::{
     complete_exact_batch, exact_verification_obs, exact_verification_par, submit_exact_batch,
@@ -483,7 +483,7 @@ impl<'a> Session<'a> {
             if self.rq_empty {
                 // Algorithm 1 lines 7–8: offer modification or similarity.
                 let sug_span = self.obs.span(names::MODIFY_SUGGEST);
-                let suggestion = suggest_deletion_in(
+                let suggestion = suggest_deletion(
                     &self.query,
                     &self.spigs,
                     self.system.indexes_ref(),
@@ -696,7 +696,7 @@ impl<'a> Session<'a> {
     /// The system's deletion suggestion for the current query.
     pub fn suggest_deletion(&self) -> Result<Option<DeletionSuggestion>, SessionError> {
         let _span = self.obs.span(names::MODIFY_SUGGEST);
-        Ok(suggest_deletion_in(
+        Ok(suggest_deletion(
             &self.query,
             &self.spigs,
             self.system.indexes_ref(),
@@ -820,7 +820,7 @@ impl<'a> Session<'a> {
     fn refresh_exact(&mut self) -> Result<(), SessionError> {
         self.check_index_epoch();
         let rq = match self.spigs.target_vertex(&self.query) {
-            Some(v) => exact_sub_candidate_set_in(
+            Some(v) => exact_sub_candidate_set(
                 v,
                 self.system.indexes_ref(),
                 self.system.db().len(),
@@ -835,7 +835,7 @@ impl<'a> Session<'a> {
 
     fn refresh_similar(&mut self) -> Result<(), SessionError> {
         self.check_index_epoch();
-        self.sim_candidates = Some(similar_sub_candidates_in(
+        self.sim_candidates = Some(similar_sub_candidates(
             self.query.size(),
             self.sigma,
             &self.spigs,

@@ -313,7 +313,7 @@ pub(crate) fn complete_exact_batch(
         busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
     // Restore global id order after a shard-bucketed chunking (a no-op for
-    // the contiguous in-order chunks of the unsharded path).
+    // the contiguous in-order chunks of a one-shard system).
     verified.sort_unstable();
     cost.observe(candidates.len() as u64, states, busy_ns);
     obs.add(names::VERIFY_VF2_STATES, states);
@@ -555,7 +555,7 @@ impl SimVerifier {
             busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
         // Restore global id order after a shard-bucketed chunking (a no-op
-        // for the contiguous in-order chunks of the unsharded path).
+        // for the contiguous in-order chunks of a one-shard system).
         verified.sort_unstable();
         cost.observe(candidates.len() as u64, states, busy_ns);
         self.obs.add(names::VERIFY_VF2_STATES, states);

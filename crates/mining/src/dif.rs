@@ -42,10 +42,16 @@ impl MiningResult {
                 nif_count += 1;
             }
         }
-        // Stable ascending-size order, as the A2I array expects.
-        difs.sort_by_key(|d| d.size());
+        // The total order `(size, CAM)`: ascending size as the A2F/A2I
+        // arrays expect, and CAM inside a size class so index ids do not
+        // depend on which miner thread finished first.
+        let canonical =
+            |a: &MinedFragment, b: &MinedFragment| (a.size(), &a.cam).cmp(&(b.size(), &b.cam));
+        let mut frequent = output.frequent;
+        frequent.sort_by(canonical);
+        difs.sort_by(canonical);
         MiningResult {
-            frequent: output.frequent,
+            frequent,
             difs,
             nif_count,
         }
@@ -187,6 +193,24 @@ mod tests {
         for w in result.difs.windows(2) {
             assert!(w[0].size() <= w[1].size());
         }
+    }
+
+    #[test]
+    fn classified_order_ignores_miner_output_order() {
+        let config = MiningConfig {
+            min_support: 3,
+            max_edges: 3,
+        };
+        let cams = |r: &MiningResult| -> Vec<Vec<CamCode>> {
+            [&r.frequent, &r.difs]
+                .map(|list| list.iter().map(|f| f.cam.clone()).collect())
+                .to_vec()
+        };
+        let forward = MiningResult::from_output(mine(&db(), &config));
+        let mut shuffled = mine(&db(), &config);
+        shuffled.frequent.reverse();
+        shuffled.negative_border.reverse();
+        assert_eq!(cams(&forward), cams(&MiningResult::from_output(shuffled)));
     }
 
     #[test]

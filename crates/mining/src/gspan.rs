@@ -161,9 +161,10 @@ pub fn mine(db: &GraphDb, config: &MiningConfig) -> MiningOutput {
 /// Mine the database with `threads` worker threads. Each distinct 1-edge
 /// root (and everything grown from it) is an independent unit of work —
 /// minimum-DFS-code pruning guarantees no fragment is produced by two
-/// roots, so outputs merge by concatenation. Deterministic up to fragment
-/// order; [`crate::MiningResult::from_output`] and the index builders sort
-/// by size, so downstream results are stable.
+/// roots, so outputs merge by concatenation — in thread-completion order,
+/// so the fragment order of the raw output is scheduling-dependent;
+/// [`crate::MiningResult::from_output`] sorts by `(size, CAM)`, which is
+/// what makes index ids reproducible.
 pub fn mine_parallel(db: &GraphDb, config: &MiningConfig, threads: usize) -> MiningOutput {
     let graphs = db.graphs();
     let roots: Vec<_> = root_projections(graphs).into_iter().collect();
@@ -188,11 +189,7 @@ pub fn mine_parallel(db: &GraphDb, config: &MiningConfig, threads: usize) -> Min
                     let work = {
                         // audit:allow(panic-reachable): offline mining scope — a poisoned lock means a sibling miner already panicked, and aborting the build is correct
                         let mut guard = roots.lock().expect("no poisoned miners");
-                        if i >= guard.len() {
-                            None
-                        } else {
-                            guard[i].take()
-                        }
+                        guard.get_mut(i).and_then(Option::take)
                     };
                     match work {
                         Some((key, projs)) => {

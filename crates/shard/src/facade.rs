@@ -6,21 +6,22 @@
 //! ids). Every `A2fId`/`A2iId` is therefore valid on every shard, and
 //! any shard's index doubles as the structural *catalog* (CAM lookup,
 //! sizes, DAG edges) for SPIG classification. FSG fan-out merges the
-//! per-shard lists with [`IdSet::union_all`] behind a bounded cache.
+//! per-shard lists with [`IdSet::union_all`] behind a bounded cache — or,
+//! when the plan has a single shard, is that shard's own list: this
+//! facade is the index backend of every system, whatever its size.
 
-use crate::mine::{mine_sharded, ShardMineStats};
-use crate::partition::ShardedDb;
+use crate::mine::{mine_sharded, timed};
+use crate::partition::{imbalance_x1000, ShardedDb};
 use crate::plan::ShardPlan;
 use parking_lot::Mutex;
 use prague_graph::{Graph, GraphDb, GraphId};
 use prague_idset::IdSet;
 use prague_index::{A2fConfig, A2fId, A2iId, ActionAwareIndexes, IndexFootprint, StoreError};
-use prague_mining::{MinedFragment, MiningResult};
+use prague_mining::{mine_classified, MinedFragment, MiningResult};
 use prague_obs::{names, Obs};
 use prague_par::Pool;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Merged-set cache entries kept before wholesale eviction. Sized for
 /// the hot fragment working set of an interactive session; one entry is
@@ -103,10 +104,12 @@ fn restrict_result(result: &MiningResult, members: &[GraphId]) -> MiningResult {
 }
 
 impl ShardedIndexes {
-    /// Partition `db` under `plan`, mine it shard-parallel, and build
-    /// one restricted index pair per shard. Returns the sharded indexes
-    /// plus the assembled global [`MiningResult`] (for build statistics;
-    /// the indexes themselves only hold the restricted lists).
+    /// Mine `db` and build one index pair per shard of `plan`. One shard
+    /// is mined whole ([`mine_classified`]); more are partitioned and
+    /// mined shard-parallel on `pool` ([`mine_sharded`]) — the classified
+    /// result is the same either way. Returns the indexes plus that
+    /// global [`MiningResult`] (for build statistics; the indexes
+    /// themselves only hold the restricted lists).
     pub fn build(
         db: &GraphDb,
         plan: ShardPlan,
@@ -115,69 +118,61 @@ impl ShardedIndexes {
         config: &A2fConfig,
         pool: Option<&Arc<Pool>>,
     ) -> Result<(Self, MiningResult), StoreError> {
-        let sharded = ShardedDb::partition(db, plan);
-        let (output, mine_stats) = mine_sharded(&sharded, alpha, max_edges, pool);
-        let result = MiningResult::from_output(output);
-        let ShardMineStats {
-            mut shard_ms,
-            merge_ms,
-        } = mine_stats;
-
-        // Index builds are shard-independent too, but `ActionAwareIndexes`
-        // is built serially here: the restricted results borrow `result`,
-        // and the build cost is dominated by mining. Per-shard build time
-        // still lands in the per-shard accounting.
-        let mut shards = Vec::with_capacity(sharded.shards());
-        for (members, ms) in sharded.members().iter().zip(shard_ms.iter_mut()) {
-            let t0 = Instant::now();
-            let restricted = restrict_result(&result, members);
-            shards.push(ActionAwareIndexes::build(&restricted, config)?);
-            *ms += t0.elapsed().as_millis() as u64;
+        let (result, mine_ms, merge_ms) = if plan.is_single() {
+            let (result, ms) = timed(|| mine_classified(db, alpha, max_edges));
+            (result, vec![ms], 0)
+        } else {
+            let sharded = ShardedDb::partition(db, plan);
+            let (output, stats) = mine_sharded(&sharded, alpha, max_edges, pool);
+            (
+                MiningResult::from_output(output),
+                stats.shard_ms,
+                stats.merge_ms,
+            )
+        };
+        let mut indexes = Self::from_result(db, plan, &result, config)?;
+        for (ms, mined) in indexes.stats.shard_ms.iter_mut().zip(mine_ms) {
+            *ms += mined;
         }
-
-        Ok((
-            ShardedIndexes {
-                plan,
-                shards,
-                stats: ShardBuildStats {
-                    shard_ms,
-                    merge_ms,
-                    imbalance_x1000: sharded.imbalance_x1000(),
-                },
-                stats_emitted: false,
-                cache: Mutex::new(BTreeMap::new()),
-            },
-            result,
-        ))
+        indexes.stats.merge_ms = merge_ms;
+        Ok((indexes, result))
     }
 
     /// Build the per-shard indexes from an existing *global* mining
-    /// result — no mining, just partition + restrict + per-shard index
-    /// builds. Lets callers reuse one mining pass across several index
-    /// configurations (the experiment harness's α/β sweeps) while still
-    /// getting the sharded layout.
+    /// result — no mining. Lets callers reuse one mining pass across
+    /// several index configurations (the experiment harness's α/β
+    /// sweeps, a loaded catalog) at any shard count.
     pub fn from_result(
         db: &GraphDb,
         plan: ShardPlan,
         result: &MiningResult,
         config: &A2fConfig,
     ) -> Result<Self, StoreError> {
-        let sharded = ShardedDb::partition(db, plan);
-        let mut shard_ms = vec![0u64; sharded.shards()];
-        let mut shards = Vec::with_capacity(sharded.shards());
-        for (members, ms) in sharded.members().iter().zip(shard_ms.iter_mut()) {
-            let t0 = Instant::now();
-            let restricted = restrict_result(result, members);
-            shards.push(ActionAwareIndexes::build(&restricted, config)?);
-            *ms += t0.elapsed().as_millis() as u64;
-        }
+        // Built serially: the build cost is dominated by mining.
+        let build_shard = |local: &MiningResult| {
+            let (indexes, ms) = timed(|| ActionAwareIndexes::build(local, config));
+            indexes.map(|ix| (ix, ms))
+        };
+        // The lone shard of a single plan owns every graph, so the global
+        // result is already its restricted result: no member lists, no copy.
+        let (built, imbalance_x1000) = if plan.is_single() {
+            (build_shard(result).map(|b| vec![b]), 1000)
+        } else {
+            let members = plan.members(db.len());
+            let built = members
+                .iter()
+                .map(|m| build_shard(&restrict_result(result, m)))
+                .collect();
+            (built, imbalance_x1000(&members))
+        };
+        let (shards, shard_ms) = built?.into_iter().unzip();
         Ok(ShardedIndexes {
             plan,
             shards,
             stats: ShardBuildStats {
                 shard_ms,
                 merge_ms: 0,
-                imbalance_x1000: sharded.imbalance_x1000(),
+                imbalance_x1000,
             },
             stats_emitted: false,
             cache: Mutex::new(BTreeMap::new()),
@@ -217,8 +212,13 @@ impl ShardedIndexes {
     }
 
     /// Global FSG ids of frequent fragment `id`: the per-shard lists
-    /// merged with one k-way union, memoized in a bounded cache.
+    /// merged with one k-way union, memoized in a bounded cache. A lone
+    /// shard's list is already global and is handed back as the index
+    /// caches it — no union, no lock, no cache entry.
     pub fn a2f_fsg(&self, id: A2fId) -> Result<Arc<IdSet>, StoreError> {
+        if self.plan.is_single() {
+            return self.catalog().a2f.fsg_ids(id);
+        }
         if let Some(hit) = self.cache.lock().get(&(0, id)) {
             return Ok(Arc::clone(hit));
         }
@@ -229,8 +229,12 @@ impl ShardedIndexes {
         Ok(self.memoize(0, id, parts))
     }
 
-    /// Global FSG ids of DIF `id`, merged across shards.
+    /// Global FSG ids of DIF `id`, merged across shards (a lone shard's
+    /// list as is, like [`ShardedIndexes::a2f_fsg`]).
     pub fn a2i_fsg(&self, id: A2iId) -> Arc<IdSet> {
+        if self.plan.is_single() {
+            return self.catalog().a2i.fsg_ids(id);
+        }
         if let Some(hit) = self.cache.lock().get(&(1, id)) {
             return Arc::clone(hit);
         }
@@ -312,7 +316,6 @@ mod tests {
     use super::*;
     use prague_graph::Label;
     use prague_index::DfBacking;
-    use prague_mining::mine_classified;
 
     fn path(labels: &[u16]) -> Graph {
         let mut g = Graph::new();
@@ -370,20 +373,29 @@ mod tests {
                 let cam = whole.a2f.cam(id).clone();
                 let sid = catalog.a2f.lookup(&cam).expect("cam present in catalog");
                 assert_eq!(catalog.a2f.size(sid), whole.a2f.size(id));
+                let merged = sharded.a2f_fsg(sid).unwrap();
                 assert_eq!(
-                    sharded.a2f_fsg(sid).unwrap().to_vec(),
+                    merged.to_vec(),
                     whole.a2f.fsg_ids(id).unwrap().to_vec(),
                     "a2f fsg mismatch at {shards} shards"
+                );
+                // The one-shard bypass: the shard's own cached list, not
+                // a union of it.
+                assert_eq!(
+                    Arc::ptr_eq(&merged, &catalog.a2f.fsg_ids(sid).unwrap()),
+                    shards == 1
                 );
             }
             assert_eq!(catalog.a2i.len(), whole.a2i.len());
             for (id, entry) in whole.a2i.iter() {
                 let sid = catalog.a2i.lookup(&entry.cam).expect("dif present");
+                let merged = sharded.a2i_fsg(sid);
                 assert_eq!(
-                    sharded.a2i_fsg(sid).to_vec(),
+                    merged.to_vec(),
                     whole.a2i.fsg_ids(id).to_vec(),
                     "a2i fsg mismatch at {shards} shards"
                 );
+                assert_eq!(Arc::ptr_eq(&merged, &catalog.a2i.fsg_ids(sid)), shards == 1);
             }
         }
     }

@@ -1,16 +1,19 @@
 //! # prague-shard
 //!
-//! The sharded index engine: partitions a [`prague_graph::GraphDb`] and
-//! the A²F/A²I action-aware indexes across N shards by consistent hash
-//! of the graph id, mines each shard independently (in parallel on a
-//! [`prague_par::Pool`] when one is supplied), and merges per-shard
-//! candidate sets with one cheap k-way [`prague_idset::IdSet::union_all`].
+//! The index backend of every PRAGUE system: the A²F/A²I action-aware
+//! indexes as 1..N shards behind one read facade ([`ShardedIndexes`]).
+//! With more than one shard it partitions a [`prague_graph::GraphDb`] by
+//! consistent hash of the graph id, mines each shard independently (in
+//! parallel on a [`prague_par::Pool`] when one is supplied), and merges
+//! per-shard FSG lists with one cheap k-way
+//! [`prague_idset::IdSet::union_all`]; with one shard it mines the
+//! database whole and serves the lone shard's lists as they are.
 //!
 //! The engine is *exact*: the two-wave mining protocol ([`mine_sharded`])
-//! reconstructs the unsharded miner's frequent set, negative border, and
-//! support lists value-for-value, so a sharded system answers every
-//! query byte-identically to an unsharded one — sharding is purely a
-//! build-time and memory-locality optimization.
+//! reconstructs the whole-database miner's frequent set, negative border,
+//! and support lists value-for-value, in the same `(size, CAM)` order, so
+//! a system answers every query byte-identically at every shard count —
+//! sharding is purely a build-time and memory-locality optimization.
 //!
 //! * [`plan`] — stateless consistent-hash placement ([`ShardPlan`]).
 //! * [`partition`] — the partitioned database ([`ShardedDb`]).

@@ -12,10 +12,9 @@
 //!
 //! The result is value-identical to unsharded mining: same frequent set,
 //! same negative border, same support lists (see the correctness notes
-//! in `prague_mining::shardmine` for the pigeonhole/expansion argument).
-//! Fragment order differs (sharded output is sorted by `(size, cam)`),
-//! which no downstream consumer observes — index lookups are CAM-keyed
-//! and candidate algebra is value-based.
+//! in `prague_mining::shardmine` for the pigeonhole/expansion argument),
+//! and in the same `(size, CAM)` order `MiningResult::from_output` gives
+//! every mining result, so index ids agree across shard counts.
 
 use crate::partition::ShardedDb;
 use prague_graph::{CamCode, Graph, GraphId};
@@ -47,7 +46,7 @@ impl ShardMineStats {
     }
 }
 
-fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed().as_millis() as u64)

@@ -24,23 +24,16 @@ pub struct ShardedDb {
 }
 
 impl ShardedDb {
-    /// Partition `db` under `plan`. Graphs are visited in ascending
-    /// global-id order, so each shard's member list (and hence its local
-    /// numbering) is ascending in the global ids.
+    /// Partition `db` under `plan`. Each shard's member list (and hence
+    /// its local numbering) is ascending in the global ids.
     pub fn partition(db: &GraphDb, plan: ShardPlan) -> Self {
-        let shards = plan.shards();
-        let mut members: Vec<Vec<GraphId>> = vec![Vec::new(); shards];
-        let mut graphs: Vec<Vec<prague_graph::Graph>> = vec![Vec::new(); shards];
-        for (gid, g) in db.iter() {
-            let s = plan.shard_of(gid);
-            if let (Some(m), Some(gs)) = (members.get_mut(s), graphs.get_mut(s)) {
-                m.push(gid);
-                gs.push(g.clone());
-            }
-        }
-        let locals = graphs
-            .into_iter()
-            .map(|gs| Arc::new(GraphDb::from_graphs(gs)))
+        let members = plan.members(db.len());
+        let locals = members
+            .iter()
+            .map(|m| {
+                let graphs = m.iter().map(|&gid| db.graph(gid).clone()).collect();
+                Arc::new(GraphDb::from_graphs(graphs))
+            })
             .collect();
         ShardedDb {
             plan,
@@ -73,18 +66,18 @@ impl ShardedDb {
     pub fn total(&self) -> usize {
         self.members.iter().map(Vec::len).sum()
     }
+}
 
-    /// Shard imbalance: largest shard relative to the ideal even split,
-    /// ×1000 (so 1000 = perfectly even, 1500 = largest shard 1.5× the
-    /// even share). Empty databases report 1000.
-    pub fn imbalance_x1000(&self) -> u64 {
-        let total = self.total();
-        if total == 0 {
-            return 1000;
-        }
-        let max = self.members.iter().map(Vec::len).max().unwrap_or(0);
-        (max as u64) * (self.shards() as u64) * 1000 / (total as u64)
+/// Shard imbalance of a set of member lists: largest shard relative to
+/// the ideal even split, ×1000 (so 1000 = perfectly even, 1500 = largest
+/// shard 1.5× the even share). Empty databases report 1000.
+pub(crate) fn imbalance_x1000(members: &[Vec<GraphId>]) -> u64 {
+    let total: usize = members.iter().map(Vec::len).sum();
+    if total == 0 {
+        return 1000;
     }
+    let max = members.iter().map(Vec::len).max().unwrap_or(0);
+    (max as u64) * (members.len() as u64) * 1000 / (total as u64)
 }
 
 #[cfg(test)]
@@ -141,7 +134,7 @@ mod tests {
         let db = tiny_db(10);
         let sharded = ShardedDb::partition(&db, ShardPlan::new(1));
         assert_eq!(sharded.shards(), 1);
-        assert_eq!(sharded.imbalance_x1000(), 1000);
+        assert_eq!(imbalance_x1000(sharded.members()), 1000);
         assert_eq!(sharded.members().first().map(Vec::len), Some(db.len()));
     }
 }

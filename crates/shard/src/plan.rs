@@ -38,6 +38,18 @@ impl ShardPlan {
     pub fn shard_of(&self, gid: GraphId) -> usize {
         jump_hash(splitmix64(gid as u64), self.shards) as usize
     }
+
+    /// Global ids `0..db_len` grouped by owning shard, ascending within
+    /// each shard — the member lists of a database of `db_len` graphs.
+    pub fn members(&self, db_len: usize) -> Vec<Vec<GraphId>> {
+        let mut members: Vec<Vec<GraphId>> = vec![Vec::new(); self.shards()];
+        for gid in 0..db_len as GraphId {
+            if let Some(m) = members.get_mut(self.shard_of(gid)) {
+                m.push(gid);
+            }
+        }
+        members
+    }
 }
 
 /// SplitMix64 finalizer: graph ids are small consecutive integers, so

@@ -246,9 +246,10 @@ fn check_state(
             "session R_q diverges from sorted-vec reference"
         );
         // Memo-off direct call and cross-step memoized call agree too.
-        let bare = prague::exact_sub_candidate_set(v, a2f, a2i, db_len, None).unwrap();
+        let ix = system.indexes_ref();
+        let bare = prague::exact_sub_candidate_set(v, ix, db_len, None).unwrap();
         prop_assert_eq!(bare.to_vec(), want.clone());
-        let memod = prague::exact_sub_candidate_set(v, a2f, a2i, db_len, Some(memo)).unwrap();
+        let memod = prague::exact_sub_candidate_set(v, ix, db_len, Some(memo)).unwrap();
         prop_assert_eq!(memod.to_vec(), want);
     }
 
@@ -260,8 +261,7 @@ fn check_state(
             q_size,
             sigma,
             session.spigs(),
-            a2f,
-            a2i,
+            system.indexes_ref(),
             db_len,
             with_memo,
         )

@@ -91,8 +91,7 @@ fn suggestion_maximizes_candidates() {
     let options = prague::deletion_options(
         session.query(),
         session.spigs(),
-        &system.indexes().a2f,
-        &system.indexes().a2i,
+        system.indexes_ref(),
         system.db().len(),
     )
     .unwrap();

@@ -80,25 +80,37 @@ fn query_spec() -> impl Strategy<Value = QuerySpec> {
     })
 }
 
-fn build(db: GraphDb, alpha: f64) -> PragueSystem {
+fn build(db: GraphDb, alpha: f64, shards: usize) -> PragueSystem {
     PragueSystem::build(
         db,
         SystemParams {
             alpha,
             beta: 2,
             max_fragment_edges: 6,
+            shards,
             ..Default::default()
         },
     )
     .expect("builds")
 }
 
+/// The shard counts the oracle properties run at: the one-shard bypass and
+/// a merged multi-shard facade.
+fn shard_count() -> impl Strategy<Value = usize> {
+    proptest::bool::ANY.prop_map(|merged| if merged { 3 } else { 1 })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn exact_results_match_oracle(db in small_db(), spec in query_spec(), alpha in 0.2f64..0.6) {
-        let system = build(db, alpha);
+    fn exact_results_match_oracle(
+        db in small_db(),
+        spec in query_spec(),
+        alpha in 0.2f64..0.6,
+        shards in shard_count(),
+    ) {
+        let system = build(db, alpha, shards);
         let mut session = system.session(2);
         let order: Vec<usize> = (0..spec.edges.len()).collect();
         replay_sequence(&mut session, &spec, &order);
@@ -115,8 +127,13 @@ proptest! {
     }
 
     #[test]
-    fn similarity_results_match_oracle(db in small_db(), spec in query_spec(), sigma in 1usize..3) {
-        let system = build(db, 0.4);
+    fn similarity_results_match_oracle(
+        db in small_db(),
+        spec in query_spec(),
+        sigma in 1usize..3,
+        shards in shard_count(),
+    ) {
+        let system = build(db, 0.4, shards);
         let mut session = system.session(sigma);
         let order: Vec<usize> = (0..spec.edges.len()).collect();
         replay_sequence(&mut session, &spec, &order);
@@ -137,7 +154,7 @@ proptest! {
         // Lemma 2 consequence: different formulation sequences yield the
         // same final candidate sets and the same run results.
         if spec.edges.len() < 2 { return Ok(()); }
-        let system = build(db, 0.35);
+        let system = build(db, 0.35, 1);
         let sequences = {
             let mut v = vec![(0..spec.edges.len()).collect::<Vec<_>>()];
             v.extend(spec.alternative_sequences(2, 77));

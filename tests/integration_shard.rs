@@ -1,6 +1,6 @@
-//! Differential suite for the sharded index engine: a system built with
-//! `shards > 1` must be observably *byte-identical* to the classic
-//! unsharded system — per-step candidate sets, Run results after every
+//! Differential suite for the index facade: N shards ≡ 1 shard. A system
+//! built with `shards > 1` must be observably *byte-identical* to the
+//! one-shard system — per-step candidate sets, Run results after every
 //! step, deletion and relabel behavior, similarity rankings, and the
 //! `verify.vf2_states` accounting — across full edit scripts, at every
 //! shard count, sequentially and on a verification pool.
@@ -190,13 +190,13 @@ fn run_script(system: &PragueSystem, spec: &QuerySpec, sigma: usize) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The tentpole differential property: systems built over the same
-    /// database at 1, 2 and 8 shards — the 1-shard build being the
-    /// classic unsharded backend — trace full edit scripts identically,
-    /// both sequentially and on a 2-worker pool, down to the
-    /// `verify.vf2_states` counter.
+    /// The differential property: systems built over the same database
+    /// at 1, 2 and 8 shards — the 1-shard build reading its lone shard's
+    /// lists directly, the others through the union cache — trace full
+    /// edit scripts identically, both sequentially and on a 2-worker
+    /// pool, down to the `verify.vf2_states` counter.
     #[test]
-    fn sharded_system_is_byte_identical_to_unsharded(
+    fn n_shards_are_byte_identical_to_one_shard(
         db in small_db(),
         spec in query_spec(),
         sigma in 1usize..3,
@@ -258,7 +258,7 @@ fn chain_results(system: &PragueSystem) -> (Vec<GraphId>, Vec<GraphId>) {
     (candidates, result_ids(&outcome.results))
 }
 
-/// Live insertion keeps sharded and unsharded systems in lockstep: after
+/// Live insertion keeps every shard count in lockstep: after
 /// `insert_graph` the index epoch bumps, the merged FSG view includes the
 /// new graph on its owning shard only, and query answers stay identical.
 #[test]
@@ -302,24 +302,29 @@ fn insertion_keeps_sharded_answers_identical() {
     }
 }
 
-/// The sharded build reports its accounting: per-shard wall times, the
-/// serial merge, and the imbalance ratio, surfaced both through
-/// `shard_stats()` and as `shard.*` counters on the obs handle.
+/// Every build reports its accounting: per-shard wall times, the serial
+/// merge, and the imbalance ratio, surfaced both through `shard_stats()`
+/// and as `shard.*` counters on the obs handle.
 #[test]
-fn sharded_build_reports_stats_and_counters() {
-    let mut system = molecule_system(4);
-    assert_eq!(system.shard_count(), 4);
-    let stats = system.shard_stats().expect("sharded backend").clone();
-    assert_eq!(stats.shard_ms.len(), 4);
-    assert!(stats.imbalance_x1000 >= 1000, "max shard >= even split");
-    let obs = Obs::enabled();
-    system.set_obs(obs.clone());
-    let snap = obs.snapshot().expect("enabled");
-    assert_eq!(
-        snap.counter(names::SHARD_IMBALANCE_X1000),
-        Some(stats.imbalance_x1000)
-    );
-    assert!(snap.counter(names::SHARD_MERGE_MS).is_some());
-    // Unsharded systems expose no shard accounting.
-    assert!(molecule_system(1).shard_stats().is_none());
+fn build_reports_stats_and_counters() {
+    for shards in [1usize, 4] {
+        let mut system = molecule_system(shards);
+        assert_eq!(system.shard_count(), shards);
+        assert_eq!(system.shard_plan().is_some(), shards > 1);
+        let stats = system.shard_stats().clone();
+        assert_eq!(stats.shard_ms.len(), shards);
+        assert!(stats.imbalance_x1000 >= 1000, "max shard >= even split");
+        let obs = Obs::enabled();
+        system.set_obs(obs.clone());
+        let snap = obs.snapshot().expect("enabled");
+        assert_eq!(
+            snap.counter(names::SHARD_IMBALANCE_X1000),
+            Some(stats.imbalance_x1000)
+        );
+        assert!(snap.counter(names::SHARD_MERGE_MS).is_some());
+    }
+    // A lone shard holds everything and waits on no merge.
+    let single = molecule_system(1);
+    assert_eq!(single.shard_stats().imbalance_x1000, 1000);
+    assert_eq!(single.shard_stats().merge_ms, 0);
 }
