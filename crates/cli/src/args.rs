@@ -37,16 +37,13 @@ histograms; see ARCHITECTURE.md § Performance model) after the query;
 
 `--threads N` verifies candidates on N pool workers and starts
 verification speculatively during formulation think time; `--threads 1`
-(the default) is the original sequential path. Results are identical
-either way. The default can also be set via the PRAGUE_THREADS
-environment variable (the flag wins).
+(the default) starts no pool and verifies inline at Run. Results are
+identical either way.
 
 `--shards N` keeps the action-aware indexes as N index pairs, graphs
 placed by consistent hash of the graph id (see ARCHITECTURE.md §
 \"Index facade\"); `--shards 1` (the default) keeps one pair holding
-everything. Query answers are byte-identical at every count. The
-default can also be set via the PRAGUE_SHARDS environment variable
-(the flag wins).
+everything. Query answers are byte-identical at every count.
 ";
 
 /// Parsed `generate` options.
@@ -284,26 +281,6 @@ fn required(pairs: &[(String, Option<String>)], flag: &'static str) -> Result<Pa
         .ok_or(ParseError::Missing(flag))
 }
 
-/// The `--threads` default: the `PRAGUE_THREADS` environment variable if
-/// set and parseable, else 1 (sequential). CI uses the variable to run
-/// the whole suite under a fixed worker count.
-fn default_threads() -> usize {
-    std::env::var("PRAGUE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
-/// The `--shards` default: the `PRAGUE_SHARDS` environment variable if
-/// set and parseable, else 1. CI uses the variable to run
-/// the whole suite under a fixed shard count.
-fn default_shards() -> usize {
-    std::env::var("PRAGUE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
 /// `--stats` → text, `--stats=json` → JSON, absent → off.
 fn stats_mode(pairs: &[(String, Option<String>)]) -> Result<StatsMode, ParseError> {
     match pairs.iter().find(|(f, _)| f == "--stats") {
@@ -362,8 +339,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 beta: parse_num(&pairs, "--beta", 8usize)?,
                 similar: has(&pairs, "--similar"),
                 trace: has(&pairs, "--trace"),
-                threads: parse_num(&pairs, "--threads", default_threads())?.max(1),
-                shards: parse_num(&pairs, "--shards", default_shards())?.max(1),
+                threads: parse_num(&pairs, "--threads", 1)?.max(1),
+                shards: parse_num(&pairs, "--shards", 1)?.max(1),
                 stats: stats_mode(&pairs)?,
             }))
         }
@@ -373,8 +350,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 catalog: required(&pairs, "--catalog")?,
                 sigma: parse_num(&pairs, "--sigma", 2usize)?,
                 beta: parse_num(&pairs, "--beta", 8usize)?,
-                threads: parse_num(&pairs, "--threads", default_threads())?.max(1),
-                shards: parse_num(&pairs, "--shards", default_shards())?.max(1),
+                threads: parse_num(&pairs, "--threads", 1)?.max(1),
+                shards: parse_num(&pairs, "--shards", 1)?.max(1),
                 stats: stats_mode(&pairs)?,
             }))
         }
@@ -387,8 +364,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                     .to_string(),
                 sigma: parse_num(&pairs, "--sigma", 2usize)?,
                 beta: parse_num(&pairs, "--beta", 8usize)?,
-                threads: parse_num(&pairs, "--threads", default_threads())?.max(1),
-                shards: parse_num(&pairs, "--shards", default_shards())?.max(1),
+                threads: parse_num(&pairs, "--threads", 1)?.max(1),
+                shards: parse_num(&pairs, "--shards", 1)?.max(1),
                 max_sessions: parse_num(&pairs, "--max-sessions", 1024usize)?.max(1),
                 max_conns: parse_num(&pairs, "--max-conns", 1024usize)?.max(1),
                 idle_secs: parse_num(&pairs, "--idle-secs", 300u64)?.max(1),

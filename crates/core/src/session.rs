@@ -24,8 +24,7 @@ use crate::history::{ActionKind, ActionRecord, SessionLog};
 use crate::modify::{suggest_deletion, DeletionSuggestion};
 use crate::results::{similar_results_gen_with, SimilarResults};
 use crate::verify::{
-    complete_exact_batch, exact_verification_obs, exact_verification_par, submit_exact_batch,
-    SimVerifier, VerifyChunk, VerifyCost,
+    exact_fragments, exact_verification_on, submit, Fanout, SimVerifier, VerifyChunk, VerifyCost,
 };
 use crate::PragueSystem;
 use prague_graph::{GraphId, Label};
@@ -171,16 +170,6 @@ pub struct RunOutcome {
     pub srt: Duration,
 }
 
-/// A speculative exact-verification batch running on the pool while the
-/// user thinks: submitted after a canvas change, consumed by `run` if the
-/// query was not modified in between, cancelled otherwise.
-struct PendingVerify {
-    /// Canvas generation the batch was submitted for.
-    generation: u64,
-    token: CancelToken,
-    batch: Batch<VerifyChunk>,
-}
-
 /// A [`SimVerifier`] cached across `run` calls, keyed by the canvas
 /// generation and σ it was built for.
 struct CachedVerifier {
@@ -225,10 +214,14 @@ pub struct Session<'a> {
     sim_candidates: Option<SimilarCandidates>,
     log: SessionLog,
     obs: Obs,
-    /// Bumped on every canvas mutation; versions the background batch and
-    /// the cached similarity verifier.
+    /// Bumped on every canvas mutation; versions the cached similarity
+    /// verifier.
     generation: u64,
-    pending: Option<PendingVerify>,
+    /// The speculative exact-verification batch running on the pool while
+    /// the user thinks: submitted after a canvas change, consumed by `run`,
+    /// cancelled by the next canvas change — so it is always for the
+    /// current canvas.
+    pending: Option<Batch<VerifyChunk>>,
     sim_verifier: Option<CachedVerifier>,
     /// CAM-keyed candidate-set memo: survives `add_edge` / `delete_edge` /
     /// `relabel_node`, so re-formulating a fragment seen earlier in the
@@ -338,8 +331,8 @@ impl<'a> Session<'a> {
     /// workers observe the token within a few dozen VF2 states and stop;
     /// the discarded batch's slots are freed when its last job finishes.
     fn cancel_pending(&mut self) {
-        if let Some(p) = self.pending.take() {
-            p.token.cancel();
+        if let Some(batch) = self.pending.take() {
+            batch.cancel();
         }
     }
 
@@ -347,15 +340,14 @@ impl<'a> Session<'a> {
     /// generation, cancel superseded background work, and — when a pool is
     /// configured, the session is in exact mode, and `R_q` actually needs
     /// verification — start verifying speculatively during user think
-    /// time. `run` consumes the batch if the query is still at this
-    /// generation.
+    /// time. `run` consumes the batch.
     fn after_canvas_change(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         self.cancel_pending();
         if self.sim_flag || self.rq.is_empty() {
             return;
         }
-        let Some(pool) = self.system.pool() else {
+        let Some(fan) = Fanout::of(&self.system) else {
             return;
         };
         if self
@@ -370,21 +362,9 @@ impl<'a> Session<'a> {
         // estimate: they run inside think time, where pool overhead costs
         // the user nothing — the cost-based fallback only gates the
         // synchronous paths the user actually waits on.
+        let frags = exact_fragments(self.query.graph());
         let token = CancelToken::new();
-        let batch = submit_exact_batch(
-            self.query.graph(),
-            &self.rq,
-            self.system.db_arc(),
-            pool,
-            &token,
-            &self.verify_cost,
-            self.system.shard_plan(),
-        );
-        self.pending = Some(PendingVerify {
-            generation: self.generation,
-            token,
-            batch,
-        });
+        self.pending = Some(submit(&frags, &self.rq, fan, &token, &self.verify_cost));
     }
 
     /// Whether a speculative verification batch is in flight (diagnostic;
@@ -741,53 +721,19 @@ impl<'a> Session<'a> {
                 .spigs
                 .target_vertex(&self.query)
                 .is_some_and(|v| v.fragment_list.is_indexed());
-            let exact = if verification_free {
-                self.cancel_pending();
-                exact_verification_obs(
-                    self.query.graph(),
-                    &self.rq,
-                    self.system.db(),
-                    true,
-                    &self.obs,
-                )
-            } else {
-                match self.pending.take() {
-                    // The think-time batch is for this exact canvas: join
-                    // and merge it (usually already complete).
-                    Some(p) if p.generation == self.generation => complete_exact_batch(
-                        self.query.graph(),
-                        &self.rq,
-                        self.system.db(),
-                        &self.obs,
-                        p.batch,
-                        &mut self.verify_cost,
-                    ),
-                    stale => {
-                        if let Some(p) = stale {
-                            p.token.cancel();
-                        }
-                        match self.system.pool() {
-                            Some(pool) => exact_verification_par(
-                                self.query.graph(),
-                                &self.rq,
-                                self.system.db_arc(),
-                                false,
-                                &self.obs,
-                                pool,
-                                &mut self.verify_cost,
-                                self.system.shard_plan(),
-                            ),
-                            None => exact_verification_obs(
-                                self.query.graph(),
-                                &self.rq,
-                                self.system.db(),
-                                false,
-                                &self.obs,
-                            ),
-                        }
-                    }
-                }
-            };
+            // The think-time batch, if any, is joined and merged (usually
+            // already complete); otherwise the candidates are scheduled now.
+            let batch = self.pending.take();
+            let exact = exact_verification_on(
+                self.query.graph(),
+                &self.rq,
+                self.system.db(),
+                verification_free,
+                &self.obs,
+                batch,
+                Fanout::of(&self.system),
+                &mut self.verify_cost,
+            );
             if exact.is_empty() {
                 // Algorithm 1 lines 19–21: fall back to similarity search.
                 {
@@ -853,37 +799,26 @@ impl<'a> Session<'a> {
         // Rebuild the verifier (distinct fragments + their MatchOrders)
         // only when the canvas or σ changed since the last run; repeated
         // runs of an unmodified query reuse it as-is.
-        let stale = !self
+        let reusable = self
             .sim_verifier
-            .as_ref()
-            .is_some_and(|c| c.generation == self.generation && c.sigma == self.sigma);
-        if stale {
+            .take()
+            .filter(|c| c.generation == self.generation && c.sigma == self.sigma);
+        let cached = self.sim_verifier.insert(reusable.unwrap_or_else(|| {
             let mut verifier = SimVerifier::from_spigs(&self.query, &self.spigs, lowest, q_size);
             verifier.set_obs(self.obs.clone());
-            verifier.set_shard_plan(self.system.shard_plan());
-            self.sim_verifier = Some(CachedVerifier {
+            CachedVerifier {
                 generation: self.generation,
                 sigma: self.sigma,
                 verifier,
-            });
-        }
+            }
+        }));
         let empty = SimilarCandidates::default();
         let candidates = self.sim_candidates.as_ref().unwrap_or(&empty);
         let verify_cost = &mut self.verify_cost;
-        let Some(cached) = self.sim_verifier.as_ref() else {
-            // unreachable: populated just above; avoid a panic path
-            return SimilarResults::default();
-        };
-        match self.system.pool() {
-            Some(pool) => similar_results_gen_with(q_size, candidates, |ids, level| {
-                cached
-                    .verifier
-                    .verify_par(ids, level, self.system.db_arc(), pool, verify_cost)
-            }),
-            None => similar_results_gen_with(q_size, candidates, |ids, level| {
-                cached.verifier.verify(ids, level, self.system.db())
-            }),
-        }
+        let (db, fan) = (self.system.db(), Fanout::of(&self.system));
+        similar_results_gen_with(q_size, candidates, |ids, level| {
+            cached.verifier.verify_on(ids, level, db, fan, verify_cost)
+        })
     }
 
     /// The query canvas.

@@ -7,10 +7,16 @@
 //! `|mccs(G, q)| ≥ i`. The SPIG set already materializes every connected
 //! subgraph of `q` per level, so verification reuses those fragments
 //! (deduplicated by CAM code) instead of re-enumerating subgraphs.
+//!
+//! Exact verification of `R_q` is `SimVerify` at level `|q|`, where the
+//! only fragment is `q` itself, so this module has one engine over a
+//! fragment list: one per-candidate loop (`verify_chunk`), one pool
+//! `submit`, one merge (`complete`) and one cost-model decision
+//! (`verify`). The public entry points only pick the fragment list and
+//! add their own `verify.exact.*` / `verify.sim.*` counters.
 
-use prague_graph::vf2::{
-    is_subgraph_cancellable, is_subgraph_with_order_counting, MatchOrder, MatchOutcome, MatchState,
-};
+use crate::PragueSystem;
+use prague_graph::vf2::{is_subgraph_cancellable, MatchOrder, MatchOutcome, MatchState};
 use prague_graph::{Graph, GraphDb, GraphId};
 use prague_idset::IdSet;
 use prague_obs::{names, Obs};
@@ -18,6 +24,7 @@ use prague_par::{tuning, Batch, CancelToken, Pool};
 use prague_shard::ShardPlan;
 use prague_spig::{SpigSet, VisualQuery};
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -110,6 +117,251 @@ impl VerifyCost {
     }
 }
 
+/// A fragment list: graphs with prebuilt VF2 match orders, shared with
+/// pool jobs by `Arc`. A candidate passes when *any* fragment embeds in it.
+type Fragments = Arc<Vec<(Graph, MatchOrder)>>;
+
+/// A fragment with its match order, built once per fragment.
+fn fragment(g: Graph) -> (Graph, MatchOrder) {
+    let order = MatchOrder::new(&g);
+    (g, order)
+}
+
+/// The fragment list of exact verification: `q` itself, the only level-`|q|`
+/// fragment.
+pub(crate) fn exact_fragments(q: &Graph) -> Fragments {
+    Arc::new(vec![fragment(q.clone())])
+}
+
+/// Where a batch may fan out: the pool, the database handle its jobs
+/// clone, and the shard plan its chunks are bucketed by.
+#[derive(Clone, Copy)]
+pub(crate) struct Fanout<'a> {
+    pool: &'a Pool,
+    db: &'a Arc<GraphDb>,
+    plan: Option<ShardPlan>,
+}
+
+impl<'a> Fanout<'a> {
+    /// The system's fan-out, `None` when it runs without a pool.
+    pub(crate) fn of(system: &'a PragueSystem) -> Option<Self> {
+        system.pool().map(|pool| Fanout {
+            pool,
+            db: system.db_arc(),
+            plan: system.shard_plan(),
+        })
+    }
+}
+
+/// The result of one chunk (or of a whole batch run inline): the surviving
+/// candidates in the order tested, the VF2 states expanded, the time spent
+/// expanding them (feeds the [`VerifyCost`] EWMAs), and whether the loop
+/// stopped early on a cancelled token.
+#[derive(Debug, Default)]
+pub(crate) struct VerifyChunk {
+    verified: Vec<GraphId>,
+    states: u64,
+    busy_ns: u64,
+    cancelled: bool,
+}
+
+/// The per-candidate loop: for each id in order, try the fragments in
+/// order until one embeds. One [`MatchState`] is threaded through every
+/// test, so the loop allocates nothing per candidate. `cancel` is the
+/// batch token's flag on the pool and a never-raised flag inline, where
+/// the search equals plain VF2 in result and state count.
+fn verify_chunk(
+    frags: &[(Graph, MatchOrder)],
+    ids: impl IntoIterator<Item = GraphId>,
+    db: &GraphDb,
+    cancel: &AtomicBool,
+) -> VerifyChunk {
+    let t0 = Instant::now();
+    let mut state = MatchState::default();
+    let mut out = VerifyChunk::default();
+    'ids: for id in ids {
+        let g = db.graph(id);
+        for (frag, order) in frags {
+            let (res, st) = is_subgraph_cancellable(frag, g, order, &mut state, cancel);
+            out.states += st;
+            match res {
+                MatchOutcome::Found => {
+                    out.verified.push(id);
+                    break;
+                }
+                MatchOutcome::NotFound => {}
+                MatchOutcome::Cancelled => {
+                    out.cancelled = true;
+                    break 'ids;
+                }
+            }
+        }
+    }
+    out.busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    out
+}
+
+/// Partition a candidate set into id chunks for the pool. Without a shard
+/// plan, chunks are in-order slices of ascending iteration — each chunk is
+/// the only `Vec` built, and concatenating them reproduces the sequential
+/// order exactly. With a multi-shard plan, ids are first bucketed by their
+/// owning shard (each bucket ascending, buckets in shard order) so every
+/// chunk touches one shard's graphs; the merge restores global id order
+/// with one `sort_unstable`, keeping results byte-identical. Chunk length
+/// comes from the live cost model ([`VerifyCost::chunk_len`]).
+fn chunked_ids(
+    candidates: &IdSet,
+    threads: usize,
+    cost: &VerifyCost,
+    plan: Option<ShardPlan>,
+) -> Vec<Vec<GraphId>> {
+    let n = candidates.len();
+    let cl = cost.chunk_len(n, threads).max(1);
+    if let Some(plan) = plan.filter(|p| !p.is_single()) {
+        let mut buckets: Vec<Vec<GraphId>> = vec![Vec::new(); plan.shards()];
+        for id in candidates.iter() {
+            // always `Some`: `shard_of` is below `shards()`
+            if let Some(bucket) = buckets.get_mut(plan.shard_of(id)) {
+                bucket.push(id);
+            }
+        }
+        let mut chunks = Vec::with_capacity(n.div_ceil(cl));
+        for bucket in &buckets {
+            for chunk in bucket.chunks(cl) {
+                chunks.push(chunk.to_vec());
+            }
+        }
+        return chunks;
+    }
+    let mut chunks = Vec::with_capacity(n.div_ceil(cl));
+    let mut it = candidates.iter();
+    loop {
+        let ids: Vec<GraphId> = it.by_ref().take(cl).collect();
+        if ids.is_empty() {
+            break;
+        }
+        chunks.push(ids);
+    }
+    chunks
+}
+
+/// Submit chunked jobs testing `frags` against `candidates`. Chunks
+/// partition `candidates` and the batch preserves submission order, so
+/// `complete` reassembles the sequential output exactly. Jobs clone the
+/// fragment and database handles — nothing borrows the caller — which is
+/// what lets `Session` keep a batch in flight across user think time.
+pub(crate) fn submit(
+    frags: &Fragments,
+    candidates: &IdSet,
+    fan: Fanout<'_>,
+    token: &CancelToken,
+    cost: &VerifyCost,
+) -> Batch<VerifyChunk> {
+    let jobs: Vec<_> = chunked_ids(candidates, fan.pool.threads(), cost, fan.plan)
+        .into_iter()
+        .map(|ids| {
+            let (frags, db) = (Arc::clone(frags), Arc::clone(fan.db));
+            move |token: &CancelToken| verify_chunk(&frags, ids, &db, token.flag())
+        })
+        .collect();
+    fan.pool.submit_batch(token, jobs)
+}
+
+/// Produce the verified ids of `candidates`: join `batch` (the wait is the
+/// `par.verify` span) and merge its chunks in order, or — with no batch,
+/// or one with a cancelled or lost chunk — run the whole set inline on the
+/// calling thread. Output and `verify.vf2_states` are identical either
+/// way; the batch's cost feeds the model.
+fn complete(
+    frags: &Fragments,
+    candidates: &IdSet,
+    db: &GraphDb,
+    batch: Option<Batch<VerifyChunk>>,
+    obs: &Obs,
+    cost: &mut VerifyCost,
+) -> Vec<GraphId> {
+    let parts = batch.map(|batch| {
+        let _merge_span = obs.span(names::PAR_VERIFY);
+        batch.join()
+    });
+    let merged = parts.and_then(|parts| {
+        let mut all = VerifyChunk::default();
+        for part in parts {
+            let chunk = part.filter(|chunk| !chunk.cancelled)?;
+            all.verified.extend_from_slice(&chunk.verified);
+            all.states += chunk.states;
+            all.busy_ns += chunk.busy_ns;
+        }
+        // Restore global id order after a shard-bucketed chunking (a no-op
+        // for the contiguous in-order chunks of a one-shard system).
+        all.verified.sort_unstable();
+        Some(all)
+    });
+    let all = merged
+        .unwrap_or_else(|| verify_chunk(frags, candidates.iter(), db, &AtomicBool::new(false)));
+    cost.observe(candidates.len() as u64, all.states, all.busy_ns);
+    obs.add(names::VERIFY_VF2_STATES, all.states);
+    all.verified
+}
+
+/// The adaptive scheduler: with somewhere to fan out, estimate the batch's
+/// cost from the live model and chunk it over the pool when the estimate
+/// pays for the fan-out; otherwise (counted in `par.seq_fallbacks`), and
+/// always without a pool, run it inline.
+fn verify(
+    frags: &Fragments,
+    candidates: &IdSet,
+    db: &GraphDb,
+    fan: Option<Fanout<'_>>,
+    obs: &Obs,
+    cost: &mut VerifyCost,
+) -> Vec<GraphId> {
+    let batch = fan.and_then(|fan| {
+        let n = candidates.len();
+        obs.add(names::PAR_EST_COST_NS, cost.est_batch_ns(n));
+        if cost.should_parallelize(n, fan.pool.job_overhead_ns()) {
+            Some(submit(frags, candidates, fan, &CancelToken::new(), cost))
+        } else {
+            obs.add(names::PAR_SEQ_FALLBACKS, 1);
+            None
+        }
+    });
+    complete(frags, candidates, db, batch, obs, cost)
+}
+
+/// Exact verification as `Session::run` reaches it: merge `batch` when the
+/// think-time batch for this canvas exists, otherwise schedule over `fan`.
+/// Runs inside the `verify.exact` span and feeds the
+/// `verify.exact.candidates` / `verify.exact.free` /
+/// `verify.exact.embeddings` counters; `verification_free` (or an edgeless
+/// `q`) passes the candidates through untested.
+#[allow(clippy::too_many_arguments)] // the session's full verify context
+pub(crate) fn exact_verification_on(
+    q: &Graph,
+    candidates: &IdSet,
+    db: &GraphDb,
+    verification_free: bool,
+    obs: &Obs,
+    batch: Option<Batch<VerifyChunk>>,
+    fan: Option<Fanout<'_>>,
+    cost: &mut VerifyCost,
+) -> Vec<GraphId> {
+    let _span = obs.span(names::VERIFY_EXACT);
+    obs.add(names::VERIFY_EXACT_CANDIDATES, candidates.len() as u64);
+    let verified = if verification_free || q.edge_count() == 0 {
+        obs.add(names::VERIFY_EXACT_FREE, candidates.len() as u64);
+        candidates.to_vec()
+    } else {
+        let frags = exact_fragments(q);
+        match batch {
+            Some(_) => complete(&frags, candidates, db, batch, obs, cost),
+            None => verify(&frags, candidates, db, fan, obs, cost),
+        }
+    };
+    obs.add(names::VERIFY_EXACT_EMBEDDINGS, verified.len() as u64);
+    verified
+}
+
 /// Exact verification of `R_q`: keep candidates in which `q` actually
 /// embeds. `verification_free` short-circuits the test (the paper skips
 /// verification when the query fragment is itself an indexed fragment —
@@ -134,199 +386,15 @@ pub fn exact_verification_obs(
     verification_free: bool,
     obs: &Obs,
 ) -> Vec<GraphId> {
-    let _span = obs.span(names::VERIFY_EXACT);
-    obs.add(names::VERIFY_EXACT_CANDIDATES, candidates.len() as u64);
-    if verification_free || q.edge_count() == 0 {
-        obs.add(names::VERIFY_EXACT_FREE, candidates.len() as u64);
-        obs.add(names::VERIFY_EXACT_EMBEDDINGS, candidates.len() as u64);
-        return candidates.to_vec();
-    }
-    let (verified, states) = exact_seq_core(q, candidates, db);
-    obs.add(names::VERIFY_VF2_STATES, states);
-    obs.add(names::VERIFY_EXACT_EMBEDDINGS, verified.len() as u64);
-    verified
-}
-
-/// The sequential VF2 filter shared by the sequential path and the
-/// fallback of the parallel path: one match order, candidates tested in
-/// id order.
-fn exact_seq_core(q: &Graph, candidates: &IdSet, db: &GraphDb) -> (Vec<GraphId>, u64) {
-    let order = MatchOrder::new(q);
-    let mut states = 0u64;
-    let verified: Vec<GraphId> = candidates
-        .iter()
-        .filter(|&id| {
-            let (found, st) = is_subgraph_with_order_counting(q, db.graph(id), &order);
-            states += st;
-            found
-        })
-        .collect();
-    (verified, states)
-}
-
-/// The result of one worker chunk: the surviving candidates of the chunk
-/// (in candidate order), the VF2 states the chunk expanded, the time it
-/// spent expanding them (feeds the [`VerifyCost`] EWMAs), and whether the
-/// chunk stopped early on a cancelled token.
-#[derive(Debug, Default)]
-pub(crate) struct VerifyChunk {
-    verified: Vec<GraphId>,
-    states: u64,
-    busy_ns: u64,
-    cancelled: bool,
-}
-
-/// Partition a candidate set into id chunks for the pool. Without a shard
-/// plan, chunks are in-order slices of ascending iteration — each chunk is
-/// the only `Vec` built, and concatenating them reproduces the sequential
-/// order exactly. With a multi-shard plan, ids are first bucketed by their
-/// owning shard (each bucket ascending, buckets in shard order) so every
-/// chunk touches one shard's graphs; the merge restores global id order
-/// with one `sort_unstable`, keeping results byte-identical. Chunk length
-/// comes from the live cost model ([`VerifyCost::chunk_len`]).
-fn chunked_ids(
-    candidates: &IdSet,
-    threads: usize,
-    cost: &VerifyCost,
-    plan: Option<ShardPlan>,
-) -> Vec<Vec<GraphId>> {
-    let n = candidates.len();
-    let cl = cost.chunk_len(n, threads).max(1);
-    if let Some(plan) = plan.filter(|p| !p.is_single()) {
-        let mut buckets: Vec<Vec<GraphId>> = vec![Vec::new(); plan.shards()];
-        for id in candidates.iter() {
-            buckets[plan.shard_of(id)].push(id);
-        }
-        let mut chunks = Vec::with_capacity(n.div_ceil(cl));
-        for bucket in &buckets {
-            for chunk in bucket.chunks(cl) {
-                chunks.push(chunk.to_vec());
-            }
-        }
-        return chunks;
-    }
-    let mut chunks = Vec::with_capacity(n.div_ceil(cl));
-    let mut it = candidates.iter();
-    loop {
-        let ids: Vec<GraphId> = it.by_ref().take(cl).collect();
-        if ids.is_empty() {
-            break;
-        }
-        chunks.push(ids);
-    }
-    chunks
-}
-
-/// Submit chunked VF2 jobs testing `q` against `candidates` on `pool`.
-/// Chunks partition `candidates` (shard-bucketed when `plan` is a
-/// multi-shard plan) and the batch preserves submission order; the merge
-/// in [`complete_exact_batch`] sorts the concatenation, so the result is
-/// the sequential output exactly. Jobs clone `q`/`db` handles — nothing
-/// borrows the caller — which is what lets `Session` keep a batch in
-/// flight across user think time.
-pub(crate) fn submit_exact_batch(
-    q: &Graph,
-    candidates: &IdSet,
-    db: &Arc<GraphDb>,
-    pool: &Pool,
-    token: &CancelToken,
-    cost: &VerifyCost,
-    plan: Option<ShardPlan>,
-) -> Batch<VerifyChunk> {
-    let q = Arc::new(q.clone());
-    let order = Arc::new(MatchOrder::new(&q));
-    let jobs: Vec<_> = chunked_ids(candidates, pool.threads(), cost, plan)
-        .into_iter()
-        .map(|ids| {
-            let (q, order, db) = (Arc::clone(&q), Arc::clone(&order), Arc::clone(db));
-            move |token: &CancelToken| {
-                let t0 = Instant::now();
-                let mut state = MatchState::default();
-                let mut out = VerifyChunk::default();
-                for &id in &ids {
-                    if token.is_cancelled() {
-                        out.cancelled = true;
-                        break;
-                    }
-                    let (res, st) =
-                        is_subgraph_cancellable(&q, db.graph(id), &order, &mut state, token.flag());
-                    out.states += st;
-                    match res {
-                        MatchOutcome::Found => out.verified.push(id),
-                        MatchOutcome::NotFound => {}
-                        MatchOutcome::Cancelled => {
-                            out.cancelled = true;
-                            break;
-                        }
-                    }
-                }
-                out.busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                out
-            }
-        })
-        .collect();
-    pool.submit_batch(token, jobs)
-}
-
-/// Join `batch` and merge its chunks into the final exact result,
-/// emitting the same counters as the sequential path. Runs inside the
-/// `verify.exact` span with the join/merge wait under `par.verify`. If
-/// any chunk was cancelled or lost (possible only for a stale batch), the
-/// merge is abandoned and the candidates are re-verified sequentially —
-/// output is identical either way.
-pub(crate) fn complete_exact_batch(
-    q: &Graph,
-    candidates: &IdSet,
-    db: &GraphDb,
-    obs: &Obs,
-    batch: Batch<VerifyChunk>,
-    cost: &mut VerifyCost,
-) -> Vec<GraphId> {
-    let _span = obs.span(names::VERIFY_EXACT);
-    obs.add(names::VERIFY_EXACT_CANDIDATES, candidates.len() as u64);
-    let parts = {
-        let _merge_span = obs.span(names::PAR_VERIFY);
-        batch.join()
-    };
-    let mut verified = Vec::new();
-    let mut states = 0u64;
-    let mut busy_ns = 0u64;
-    let mut intact = true;
-    for part in parts {
-        match part {
-            Some(chunk) if !chunk.cancelled => {
-                verified.extend_from_slice(&chunk.verified);
-                states += chunk.states;
-                busy_ns += chunk.busy_ns;
-            }
-            _ => {
-                intact = false;
-                break;
-            }
-        }
-    }
-    if !intact {
-        let t0 = Instant::now();
-        let (v, s) = exact_seq_core(q, candidates, db);
-        verified = v;
-        states = s;
-        busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    }
-    // Restore global id order after a shard-bucketed chunking (a no-op for
-    // the contiguous in-order chunks of a one-shard system).
-    verified.sort_unstable();
-    cost.observe(candidates.len() as u64, states, busy_ns);
-    obs.add(names::VERIFY_VF2_STATES, states);
-    obs.add(names::VERIFY_EXACT_EMBEDDINGS, verified.len() as u64);
-    verified
+    let cost = &mut VerifyCost::new();
+    exact_verification_on(q, candidates, db, verification_free, obs, None, None, cost)
 }
 
 /// [`exact_verification_obs`] routed through the adaptive scheduler:
-/// estimate the batch's cost from the live model, run it sequentially on
-/// the calling thread when the estimate cannot pay for pool fan-out
-/// (counted in `par.seq_fallbacks`), otherwise chunk it by the model and
-/// merge in order. Output, counters, and `verify.vf2_states` accounting
-/// are byte-identical to the sequential path either way.
+/// sequential on the calling thread when the cost estimate cannot pay for
+/// pool fan-out (counted in `par.seq_fallbacks`), otherwise chunked by the
+/// model and merged in order. Output, counters, and `verify.vf2_states`
+/// accounting are byte-identical to the sequential path either way.
 #[allow(clippy::too_many_arguments)] // the session's full verify context
 pub fn exact_verification_par(
     q: &Graph,
@@ -338,36 +406,15 @@ pub fn exact_verification_par(
     cost: &mut VerifyCost,
     plan: Option<ShardPlan>,
 ) -> Vec<GraphId> {
-    if verification_free || q.edge_count() == 0 {
-        return exact_verification_obs(q, candidates, db, verification_free, obs);
-    }
-    let n = candidates.len();
-    let overhead = pool.job_overhead_ns();
-    obs.add(names::PAR_EST_COST_NS, cost.est_batch_ns(n));
-    if !cost.should_parallelize(n, overhead) {
-        obs.add(names::PAR_SEQ_FALLBACKS, 1);
-        let _span = obs.span(names::VERIFY_EXACT);
-        obs.add(names::VERIFY_EXACT_CANDIDATES, n as u64);
-        let t0 = Instant::now();
-        let (verified, states) = exact_seq_core(q, candidates, db);
-        let busy = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        cost.observe(n as u64, states, busy);
-        obs.add(names::VERIFY_VF2_STATES, states);
-        obs.add(names::VERIFY_EXACT_EMBEDDINGS, verified.len() as u64);
-        return verified;
-    }
-    let token = CancelToken::new();
-    let batch = submit_exact_batch(q, candidates, db, pool, &token, cost, plan);
-    complete_exact_batch(q, candidates, db, obs, batch, cost)
+    let fan = Some(Fanout { pool, db, plan });
+    exact_verification_on(q, candidates, db, verification_free, obs, None, fan, cost)
 }
 
 /// A reusable verifier for one query's similarity levels: the distinct
 /// level-`i` fragments of the query with prebuilt VF2 match orders.
 pub struct SimVerifier {
-    /// level -> distinct fragments (graph + match order). `Arc` so
-    /// parallel verification jobs share a level's fragment set without
-    /// cloning graphs per chunk.
-    fragments: BTreeMap<usize, Arc<Vec<(Graph, MatchOrder)>>>,
+    /// level -> distinct fragments, shared with pool jobs.
+    fragments: BTreeMap<usize, Fragments>,
     obs: Obs,
     /// When set to a multi-shard plan, `verify_par` buckets candidates by
     /// owning shard before chunking (locality) and restores global id
@@ -376,22 +423,17 @@ pub struct SimVerifier {
 }
 
 impl SimVerifier {
-    /// Collect the distinct fragments of levels `[lowest, q_size)` from the
+    /// Collect the distinct fragments of levels `[lowest, q_size]` from the
     /// SPIG set. Each distinct fragment's [`MatchOrder`] is built here,
     /// once — `Session` caches the whole verifier across `run` calls so
     /// repeated runs of an unmodified query rebuild nothing.
     pub fn from_spigs(query: &VisualQuery, set: &SpigSet, lowest: usize, q_size: usize) -> Self {
         let mut fragments = BTreeMap::new();
         for i in lowest.max(1)..=q_size {
-            let frags: Vec<(Graph, MatchOrder)> =
-                crate::candidates::distinct_level_fragments(set, i)
-                    .into_iter()
-                    .map(|(_, mask)| {
-                        let g = query.fragment(mask);
-                        let order = MatchOrder::new(&g);
-                        (g, order)
-                    })
-                    .collect();
+            let frags = crate::candidates::distinct_level_fragments(set, i)
+                .into_iter()
+                .map(|(_, mask)| fragment(query.fragment(mask)))
+                .collect();
             fragments.insert(i, Arc::new(frags));
         }
         SimVerifier {
@@ -401,7 +443,7 @@ impl SimVerifier {
         }
     }
 
-    /// Attach an observability handle; [`SimVerifier::verify`] feeds the
+    /// Attach an observability handle; verification feeds the
     /// `verify.sim.candidates` / `verify.sim.embeddings` /
     /// `verify.vf2_states` counters through it.
     pub fn set_obs(&mut self, obs: Obs) {
@@ -418,45 +460,13 @@ impl SimVerifier {
     /// `SimVerify`: of `candidates`, the graphs containing at least one
     /// level-`i` fragment of the query.
     pub fn verify(&self, candidates: &IdSet, level: usize, db: &GraphDb) -> Vec<GraphId> {
-        self.obs
-            .add(names::VERIFY_SIM_CANDIDATES, candidates.len() as u64);
-        if !self.fragments.contains_key(&level) {
-            return Vec::new();
-        }
-        let (verified, states) = self.verify_core(candidates, level, db);
-        self.obs.add(names::VERIFY_VF2_STATES, states);
-        self.obs
-            .add(names::VERIFY_SIM_EMBEDDINGS, verified.len() as u64);
-        verified
+        self.verify_on(candidates, level, db, None, &mut VerifyCost::new())
     }
 
-    /// The sequential `SimVerify` filter: for each candidate in order, try
-    /// the level's fragments in order until one embeds.
-    fn verify_core(&self, candidates: &IdSet, level: usize, db: &GraphDb) -> (Vec<GraphId>, u64) {
-        let Some(frags) = self.fragments.get(&level) else {
-            return (Vec::new(), 0);
-        };
-        let mut states = 0u64;
-        let verified: Vec<GraphId> = candidates
-            .iter()
-            .filter(|&id| {
-                let g = db.graph(id);
-                frags.iter().any(|(frag, order)| {
-                    let (found, st) = is_subgraph_with_order_counting(frag, g, order);
-                    states += st;
-                    found
-                })
-            })
-            .collect();
-        (verified, states)
-    }
-
-    /// [`SimVerifier::verify`] routed through the adaptive scheduler:
+    /// [`SimVerifier::verify`] routed through the adaptive scheduler: the
     /// same cost-based sequential fallback and model-driven chunking as
-    /// [`exact_verification_par`]. Chunks test the same fragments in the
-    /// same per-candidate order as the sequential path, and the in-order
-    /// merge makes the output — and the `verify.vf2_states` total —
-    /// identical to it.
+    /// [`exact_verification_par`], with output and the `verify.vf2_states`
+    /// total identical to the sequential path.
     pub fn verify_par(
         &self,
         candidates: &IdSet,
@@ -465,100 +475,26 @@ impl SimVerifier {
         pool: &Pool,
         cost: &mut VerifyCost,
     ) -> Vec<GraphId> {
+        let plan = self.shard_plan;
+        self.verify_on(candidates, level, db, Some(Fanout { pool, db, plan }), cost)
+    }
+
+    /// `SimVerify` scheduled over `fan` (inline when `None`), feeding the
+    /// `verify.sim.*` counters.
+    pub(crate) fn verify_on(
+        &self,
+        candidates: &IdSet,
+        level: usize,
+        db: &GraphDb,
+        fan: Option<Fanout<'_>>,
+        cost: &mut VerifyCost,
+    ) -> Vec<GraphId> {
         self.obs
             .add(names::VERIFY_SIM_CANDIDATES, candidates.len() as u64);
         let Some(frags) = self.fragments.get(&level) else {
             return Vec::new();
         };
-        let n = candidates.len();
-        let overhead = pool.job_overhead_ns();
-        self.obs.add(names::PAR_EST_COST_NS, cost.est_batch_ns(n));
-        if !cost.should_parallelize(n, overhead) {
-            self.obs.add(names::PAR_SEQ_FALLBACKS, 1);
-            let t0 = Instant::now();
-            let (verified, states) = self.verify_core(candidates, level, db);
-            let busy = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            cost.observe(n as u64, states, busy);
-            self.obs.add(names::VERIFY_VF2_STATES, states);
-            self.obs
-                .add(names::VERIFY_SIM_EMBEDDINGS, verified.len() as u64);
-            return verified;
-        }
-        let token = CancelToken::new();
-        let jobs: Vec<_> = chunked_ids(candidates, pool.threads(), cost, self.shard_plan)
-            .into_iter()
-            .map(|ids| {
-                let (frags, db) = (Arc::clone(frags), Arc::clone(db));
-                move |token: &CancelToken| {
-                    let t0 = Instant::now();
-                    let mut state = MatchState::default();
-                    let mut out = VerifyChunk::default();
-                    for &id in &ids {
-                        let g = db.graph(id);
-                        let mut hit = false;
-                        for (frag, order) in frags.iter() {
-                            let (res, st) =
-                                is_subgraph_cancellable(frag, g, order, &mut state, token.flag());
-                            out.states += st;
-                            match res {
-                                MatchOutcome::Found => {
-                                    hit = true;
-                                    break;
-                                }
-                                MatchOutcome::NotFound => {}
-                                MatchOutcome::Cancelled => {
-                                    out.cancelled = true;
-                                    out.busy_ns =
-                                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                                    return out;
-                                }
-                            }
-                        }
-                        if hit {
-                            out.verified.push(id);
-                        }
-                    }
-                    out.busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    out
-                }
-            })
-            .collect();
-        let parts = {
-            let _merge_span = self.obs.span(names::PAR_VERIFY);
-            pool.submit_batch(&token, jobs).join()
-        };
-        let mut verified = Vec::new();
-        let mut states = 0u64;
-        let mut busy_ns = 0u64;
-        let mut intact = true;
-        for part in parts {
-            match part {
-                Some(chunk) if !chunk.cancelled => {
-                    verified.extend_from_slice(&chunk.verified);
-                    states += chunk.states;
-                    busy_ns += chunk.busy_ns;
-                }
-                _ => {
-                    intact = false;
-                    break;
-                }
-            }
-        }
-        if !intact {
-            // Unreachable with the fresh token above, but never lose
-            // results: redo sequentially (counters already cover the
-            // candidate add; emit only states/embeddings below).
-            let t0 = Instant::now();
-            let (v, s) = self.verify_core(candidates, level, db);
-            verified = v;
-            states = s;
-            busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        }
-        // Restore global id order after a shard-bucketed chunking (a no-op
-        // for the contiguous in-order chunks of a one-shard system).
-        verified.sort_unstable();
-        cost.observe(candidates.len() as u64, states, busy_ns);
-        self.obs.add(names::VERIFY_VF2_STATES, states);
+        let verified = verify(frags, candidates, db, fan, &self.obs, cost);
         self.obs
             .add(names::VERIFY_SIM_EMBEDDINGS, verified.len() as u64);
         verified
@@ -594,5 +530,52 @@ mod tests {
         assert_eq!(exact_verification(&q, &cands, &db, false), vec![0]);
         // verification-free passes through
         assert_eq!(exact_verification(&q, &cands, &db, true), vec![0, 1]);
+    }
+
+    /// A batch whose chunks were all cancelled is redone inline at
+    /// `complete`: output and every `verify.*` counter equal the
+    /// sequential path, and nothing the cancelled chunks did is counted.
+    #[test]
+    fn cancelled_batch_is_redone_sequentially() {
+        let mut db = GraphDb::new();
+        for i in 0..40u16 {
+            db.push(path(&[0, i % 2, 0, 1]));
+        }
+        let db = Arc::new(db);
+        let q = path(&[0, 1, 0]);
+        let ids: Vec<GraphId> = (0..40).collect();
+        let cands = IdSet::from_sorted_slice(&ids);
+        let verify_counters = |obs: &Obs| {
+            let snap = obs.snapshot().expect("obs enabled");
+            [
+                names::VERIFY_EXACT_CANDIDATES,
+                names::VERIFY_EXACT_EMBEDDINGS,
+                names::VERIFY_VF2_STATES,
+            ]
+            .map(|name| snap.counter(name))
+        };
+        let seq_obs = Obs::enabled();
+        let seq = exact_verification_obs(&q, &cands, &db, false, &seq_obs);
+        assert_eq!(seq.len(), 20);
+
+        let obs = Obs::enabled();
+        let pool = Pool::new(2, obs.clone());
+        let fan = Fanout {
+            pool: &pool,
+            db: &db,
+            plan: None,
+        };
+        let token = CancelToken::new();
+        token.cancel();
+        // one candidate per chunk estimate, so the batch has several chunks
+        let mut cost = VerifyCost::seeded(tuning::CHUNK_TARGET_STATES as f64, 1.0);
+        let batch = submit(&exact_fragments(&q), &cands, fan, &token, &cost);
+        let redone =
+            exact_verification_on(&q, &cands, &db, false, &obs, Some(batch), None, &mut cost);
+        assert_eq!(redone, seq);
+        assert_eq!(verify_counters(&obs), verify_counters(&seq_obs));
+        let snap = obs.snapshot().expect("obs enabled");
+        assert!(snap.counter(names::PAR_CANCELLATIONS).unwrap_or(0) > 1);
+        assert_eq!(snap.counter(names::PAR_SEQ_FALLBACKS), None);
     }
 }

@@ -10,8 +10,8 @@ mod common;
 
 use common::oracle_similarity;
 use prague::{
-    exact_verification_obs, exact_verification_par, PragueSystem, QueryResults, SystemParams,
-    VerifyCost,
+    exact_verification_obs, exact_verification_par, PragueSystem, QueryResults, SimVerifier,
+    SystemParams, VerifyCost,
 };
 use prague_datagen::{MoleculeConfig, QuerySpec};
 use prague_graph::{Graph, GraphDb, GraphId, Label, NodeId};
@@ -19,7 +19,6 @@ use prague_idset::IdSet;
 use prague_obs::{names, Obs};
 use prague_par::{tuning, Pool};
 use proptest::prelude::*;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn connected_graph(max_n: usize, label_count: u16) -> impl Strategy<Value = Graph> {
@@ -226,6 +225,32 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(got, want, "similarity output disagrees with the mccs oracle");
     }
+
+    /// Exact verification is `SimVerify` at level `|q|`: over the whole
+    /// database, `exact_verification` and a `SimVerifier` built from the
+    /// same session keep the same ids and expand the same VF2 states.
+    #[test]
+    fn exact_verification_is_simverify_at_level_q(db in small_db(), spec in query_spec()) {
+        let system = build(db, 0.35);
+        let mut session = system.session(1);
+        let nodes: Vec<_> = spec.node_labels.iter().map(|&l| session.add_node(l)).collect();
+        for &(u, v) in &spec.edges {
+            session.add_edge(nodes[u as usize], nodes[v as usize]).unwrap();
+        }
+        let size = session.query().size();
+        let all: Vec<GraphId> = (0..system.db().len() as GraphId).collect();
+        let all = IdSet::from_sorted_slice(&all);
+        let (exact_obs, sim_obs) = (Obs::enabled(), Obs::enabled());
+        let mut verifier = SimVerifier::from_spigs(session.query(), session.spigs(), size, size);
+        verifier.set_obs(sim_obs.clone());
+        prop_assert_eq!(verifier.fragment_count(size), 1);
+        prop_assert_eq!(
+            exact_verification_obs(session.query().graph(), &all, system.db(), false, &exact_obs),
+            verifier.verify(&all, size, system.db())
+        );
+        let states = |obs: &Obs| obs.snapshot().expect("obs enabled").counter(names::VERIFY_VF2_STATES);
+        prop_assert_eq!(states(&exact_obs), states(&sim_obs));
+    }
 }
 
 /// Molecule fixture mined shallow (≤ 3-edge fragments) so a 4-edge query
@@ -361,7 +386,8 @@ fn session_stress_rapid_edits_and_mid_flight_drop() {
 /// the calibration no-ops. Seeded just above, the batch must fan out —
 /// `par.jobs` grows past the calibration batch and no fallback fires.
 /// Either way the verified ids and `verify.vf2_states` are identical to
-/// the plain sequential path.
+/// the plain sequential path — for exact verification and for `SimVerify`
+/// alike, since both are the one engine.
 #[test]
 fn sequential_fallback_boundary_is_cost_driven() {
     // 12 three-node paths; the even ones contain the C-S query edge.
@@ -376,63 +402,93 @@ fn sequential_fallback_boundary_is_cost_driven() {
         g.add_edge(b, c).expect("fresh edge");
         ids.push(db.push(g));
     }
-    let db = Arc::new(db);
-    let mut q = Graph::new();
-    let qa = q.add_node(Label(0));
-    let qb = q.add_node(Label(1));
-    q.add_edge(qa, qb).expect("fresh edge");
+    let system = build(db, 0.3);
+    let db = system.db_arc();
+    let mut session = system.session(1);
+    let (qa, qb) = (session.add_node(Label(0)), session.add_node(Label(1)));
+    session.add_edge(qa, qb).expect("fresh edge");
+    let q = session.query().graph();
     let cands = IdSet::from_sorted_slice(&ids);
+    let sim = |obs: &Obs| {
+        let mut verifier = SimVerifier::from_spigs(session.query(), session.spigs(), 1, 1);
+        verifier.set_obs(obs.clone());
+        verifier
+    };
 
-    // Sequential reference: ids and vf2 state count.
-    let ref_obs = Obs::enabled();
-    let ref_ids = exact_verification_obs(&q, &cands, &db, false, &ref_obs);
-    let ref_states = ref_obs
-        .snapshot()
-        .expect("obs enabled")
-        .counter(names::VERIFY_VF2_STATES)
-        .unwrap_or(0);
-    assert!(ref_states > 0, "reference run must expand VF2 states");
-
+    type Seq<'a> = Box<dyn Fn(&Obs) -> Vec<GraphId> + 'a>;
+    type Par<'a> = Box<dyn Fn(&Obs, &Pool, &mut VerifyCost) -> Vec<GraphId> + 'a>;
+    let inputs: [(&str, Seq, Par); 2] = [
+        (
+            "exact",
+            Box::new(|obs| exact_verification_obs(q, &cands, db, false, obs)),
+            Box::new(|obs, pool, cost| {
+                exact_verification_par(q, &cands, db, false, obs, pool, cost, None)
+            }),
+        ),
+        (
+            "SimVerify",
+            Box::new(|obs| sim(obs).verify(&cands, 1, db)),
+            Box::new(|obs, pool, cost| sim(obs).verify_par(&cands, 1, db, pool, cost)),
+        ),
+    ];
     let calibration = tuning::CALIBRATION_JOBS as u64;
-    for expect_pool in [false, true] {
-        let obs = Obs::enabled();
-        let pool = Pool::new(2, obs.clone());
-        let overhead = pool.job_overhead_ns();
-        let threshold = tuning::FALLBACK_OVERHEAD_MULT.saturating_mul(overhead);
-        // Seed states-per-candidate at 1 and pick ns-per-state so the
-        // estimate lands at 0.9× (below) or 1.1× (above) the threshold.
-        let factor = if expect_pool { 1.1 } else { 0.9 };
-        let nps = factor * threshold as f64 / cands.len() as f64;
-        let mut cost = VerifyCost::seeded(1.0, nps);
-        if expect_pool {
-            assert!(cost.should_parallelize(cands.len(), overhead));
-        } else {
-            assert!(!cost.should_parallelize(cands.len(), overhead));
-        }
-
-        let verified = exact_verification_par(&q, &cands, &db, false, &obs, &pool, &mut cost, None);
-        assert_eq!(verified, ref_ids, "expect_pool={expect_pool}");
-
-        let snap = obs.snapshot().expect("obs enabled");
-        assert_eq!(
-            snap.counter(names::VERIFY_VF2_STATES).unwrap_or(0),
-            ref_states,
-            "vf2 accounting drifted (expect_pool={expect_pool})"
+    for (name, seq, par) in &inputs {
+        // Sequential reference: ids and vf2 state count.
+        let ref_obs = Obs::enabled();
+        let ref_ids = seq(&ref_obs);
+        assert_eq!(ref_ids, [0, 2, 4, 6, 8, 10], "{name}");
+        let ref_states = ref_obs
+            .snapshot()
+            .expect("obs enabled")
+            .counter(names::VERIFY_VF2_STATES)
+            .unwrap_or(0);
+        assert!(
+            ref_states > 0,
+            "{name}: reference run must expand VF2 states"
         );
-        let jobs = snap.counter(names::PAR_JOBS).unwrap_or(0);
-        let fallbacks = snap.counter(names::PAR_SEQ_FALLBACKS).unwrap_or(0);
-        if expect_pool {
-            assert_eq!(fallbacks, 0, "cheap-batch fallback fired above threshold");
-            assert!(
-                jobs > calibration,
-                "batch above threshold never reached the pool (jobs = {jobs})"
-            );
-        } else {
-            assert_eq!(fallbacks, 1, "batch below threshold was not run inline");
+
+        for expect_pool in [false, true] {
+            let obs = Obs::enabled();
+            let pool = Pool::new(2, obs.clone());
+            let overhead = pool.job_overhead_ns();
+            let threshold = tuning::FALLBACK_OVERHEAD_MULT.saturating_mul(overhead);
+            // Seed states-per-candidate at 1 and pick ns-per-state so the
+            // estimate lands at 0.9× (below) or 1.1× (above) the threshold.
+            let factor = if expect_pool { 1.1 } else { 0.9 };
+            let nps = factor * threshold as f64 / cands.len() as f64;
+            let mut cost = VerifyCost::seeded(1.0, nps);
+            assert_eq!(cost.should_parallelize(cands.len(), overhead), expect_pool);
+
+            let verified = par(&obs, &pool, &mut cost);
+            assert_eq!(verified, ref_ids, "{name}: expect_pool={expect_pool}");
+
+            let snap = obs.snapshot().expect("obs enabled");
             assert_eq!(
-                jobs, calibration,
-                "batch below threshold still sent jobs to the pool"
+                snap.counter(names::VERIFY_VF2_STATES).unwrap_or(0),
+                ref_states,
+                "{name}: vf2 accounting drifted (expect_pool={expect_pool})"
             );
+            let jobs = snap.counter(names::PAR_JOBS).unwrap_or(0);
+            let fallbacks = snap.counter(names::PAR_SEQ_FALLBACKS).unwrap_or(0);
+            if expect_pool {
+                assert_eq!(
+                    fallbacks, 0,
+                    "{name}: cheap-batch fallback fired above threshold"
+                );
+                assert!(
+                    jobs > calibration,
+                    "{name}: batch above threshold never reached the pool (jobs = {jobs})"
+                );
+            } else {
+                assert_eq!(
+                    fallbacks, 1,
+                    "{name}: batch below threshold was not run inline"
+                );
+                assert_eq!(
+                    jobs, calibration,
+                    "{name}: batch below threshold still sent jobs to the pool"
+                );
+            }
         }
     }
 }
