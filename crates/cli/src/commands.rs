@@ -427,9 +427,11 @@ mod tests {
         // stream then shuts it down as soon as the closure returns.
         serve_until(&args, std::io::empty(), |addr| {
             let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let mut ask = |frame: &str| {
-                writeln!(stream, "{frame}").unwrap();
+                // Body and newline in one `write`, not one per format piece.
+                stream.write_all(format!("{frame}\n").as_bytes()).unwrap();
                 let mut line = String::new();
                 reader.read_line(&mut line).unwrap();
                 line

@@ -157,6 +157,19 @@ pub const SRV_FRAME_NS: &str = "srv.frame_ns";
 /// under load means sessions are queueing behind each other's
 /// verification, not that verification itself got slower.
 pub const SRV_QUEUE_WAIT_NS: &str = "srv.queue_wait_ns";
+/// Bytes handed to the socket by each reply write (count buckets): the
+/// replies, newlines included, to every complete line of one read.
+pub const SRV_REPLY_BYTES: &str = "srv.reply_bytes";
+/// Time inside each reply write (latency buckets). `srv.frame_ns` is
+/// handling, this is transport: a slow frame with a fast write was slow
+/// in the manager, and the reverse means the peer or the network.
+pub const SRV_WRITE_NS: &str = "srv.write_ns";
+/// Time a connection's replies were held back because it had run past
+/// its burst allowance at the sustained frame rate (latency buckets; one
+/// observation per held write, none when nothing was held). Neither
+/// handling nor transport: a client that sends faster than the service
+/// answers a connection.
+pub const SRV_PACE_NS: &str = "srv.pace_ns";
 
 /// Every documented service-layer metric with its kind, in table order.
 /// The `srv-names` table of ARCHITECTURE.md must list exactly these.
@@ -169,6 +182,9 @@ pub const SRV_ALL: &[(&str, MetricKind)] = &[
     (SRV_FRAME_ERRORS, MetricKind::Counter),
     (SRV_FRAME_NS, MetricKind::Histogram),
     (SRV_QUEUE_WAIT_NS, MetricKind::Histogram),
+    (SRV_REPLY_BYTES, MetricKind::Histogram),
+    (SRV_WRITE_NS, MetricKind::Histogram),
+    (SRV_PACE_NS, MetricKind::Histogram),
 ];
 
 // ---- histograms ------------------------------------------------------

@@ -20,7 +20,9 @@
 //!   ones out of their GUI latency budget;
 //! * [`server`] — a thread-per-connection TCP transport that tears
 //!   down cleanly on disconnect (sessions closed, speculative
-//!   verification cancelled, threads joined);
+//!   verification cancelled, threads joined), answers one read's frames
+//!   in one write, and holds a connection that sends without think time
+//!   to [`FRAME_RATE`] frames a second past a burst of [`FRAME_BURST`];
 //! * [`clock`] — the deterministic time source the lifecycle tests
 //!   drive ([`FakeClock`]) and production runs on ([`SystemClock`]).
 //!
@@ -39,4 +41,4 @@ pub mod server;
 pub use clock::{Clock, FakeClock, SystemClock};
 pub use manager::{ConnSessions, LifecycleStats, ServerConfig, SessionManager};
 pub use protocol::{parse_request, ProtoError, Request, MAX_LINE};
-pub use server::Server;
+pub use server::{Server, FRAME_BURST, FRAME_RATE};

@@ -18,10 +18,12 @@
 //!   [`ServerConfig::session_memory_cap`]; an over-budget session is
 //!   evicted (`srv.sessions_evicted`) without touching its neighbours;
 //! * **idle expiry** — sessions unused for
-//!   [`ServerConfig::idle_timeout`] are swept (`srv.sessions_expired`),
-//!   against an injected [`Clock`] so the lifecycle is testable without
-//!   sleeping. Dropping a session cancels its in-flight speculative
-//!   verification through the existing generation/cancel path.
+//!   [`ServerConfig::idle_timeout`] are swept (`srv.sessions_expired`)
+//!   at most once per quarter timeout, and a frame addressing one is
+//!   refused on lookup in between, against an injected [`Clock`] so the
+//!   lifecycle is testable without sleeping. Dropping a session cancels
+//!   its in-flight speculative verification through the existing
+//!   generation/cancel path.
 //!
 //! Frames for *different* sessions execute concurrently (each session
 //! sits behind its own mutex; the manager map is locked only for
@@ -35,13 +37,14 @@
 //! if the session did not exist.
 
 use crate::clock::Clock;
-use crate::protocol::{error_frame, parse_request, ProtoError, Request};
+use crate::protocol::{parse_request, ProtoError, Request};
 use prague::session::{QueryResults, Session, SessionError, StepStatus};
 use prague::PragueSystem;
 use prague_graph::Label;
 use prague_obs::{names, Obs};
 use prague_par::FairGate;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -63,8 +66,9 @@ pub struct ServerConfig {
     /// Per-session candidate-memo budget in bytes; a session observed
     /// over budget after a frame is evicted.
     pub session_memory_cap: usize,
-    /// Sessions idle longer than this are expired by the sweep that
-    /// runs before each frame.
+    /// Sessions idle longer than this are expired: by a sweep that frames
+    /// trigger at most once per quarter of this timeout, and on lookup,
+    /// so an expired session is never served.
     pub idle_timeout: Duration,
     /// Global verify-admission slots (the [`FairGate`] total).
     pub fair_slots: usize,
@@ -124,6 +128,18 @@ pub struct SessionManager {
     gate: FairGate,
     obs: Obs,
     state: Mutex<ManagerState>,
+    /// [`Clock`] time from which the next frame runs the idle sweep;
+    /// frames before it skip the sweep (see
+    /// [`SessionManager::sweep_if_due`]).
+    next_sweep_ns: AtomicU64,
+}
+
+/// `write!` into a reply buffer. Writing to a `String` cannot fail, so
+/// there is no error to propagate.
+macro_rules! put {
+    ($out:expr, $($arg:tt)*) => {{
+        let _ = write!($out, $($arg)*);
+    }};
 }
 
 /// Mutex recovery: manager state is updated in whole steps, so poisoning
@@ -152,6 +168,7 @@ impl SessionManager {
                 next_id: 1,
                 stats: LifecycleStats::default(),
             }),
+            next_sweep_ns: AtomicU64::new(0),
         }
     }
 
@@ -218,37 +235,38 @@ impl SessionManager {
         existed
     }
 
+    fn idle_timeout_ns(&self) -> u64 {
+        u64::try_from(self.cfg.idle_timeout.as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Whether `slot` has gone unused past the idle timeout as of `now`.
+    fn is_idle(&self, slot: &Slot, now: u64) -> bool {
+        let stale =
+            now.saturating_sub(slot.last_used_ns.load(Ordering::SeqCst)) > self.idle_timeout_ns();
+        // A held session mutex means a frame is mid-flight on it right
+        // now — not idle, however stale the stamp looks (e.g. a long
+        // fair-gate wait under heavy contention). Poisoned counts as
+        // free: the frame that held it is gone, and expiring the wreck
+        // is the right outcome.
+        stale
+            && !matches!(
+                slot.session.try_lock(),
+                Err(std::sync::TryLockError::WouldBlock)
+            )
+    }
+
     /// Expire every session idle longer than the configured timeout.
-    /// Runs before each frame; also callable directly (tests, a serve
-    /// loop's housekeeping tick).
+    /// Frames run it at most once per quarter timeout (`sweep_if_due`);
+    /// also callable directly (tests, a serve loop's housekeeping tick).
     pub fn sweep_idle(&self) {
         let now = self.clock.now_ns();
-        let timeout = u64::try_from(self.cfg.idle_timeout.as_nanos()).unwrap_or(u64::MAX);
         let mut state = lock(&self.state, &self.obs);
-        let expired: Vec<u64> = state
-            .sessions
-            .iter()
-            .filter(|(_, slot)| {
-                // A held session mutex means a frame is mid-flight on it
-                // right now — not idle, however stale the stamp looks
-                // (e.g. a long fair-gate wait under heavy contention).
-                // Poisoned counts as free: the frame that held it is
-                // gone, and expiring the wreck is the right outcome.
-                let in_flight = matches!(
-                    slot.session.try_lock(),
-                    Err(std::sync::TryLockError::WouldBlock)
-                );
-                !in_flight && now.saturating_sub(slot.last_used_ns.load(Ordering::SeqCst)) > timeout
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        let n = expired.len() as u64;
-        for id in expired {
-            // Removing the map entry drops the manager's handle; the
-            // session itself (and its pending-verify cancellation) drops
-            // when any concurrent frame on it finishes.
-            state.sessions.remove(&id);
-        }
+        let before = state.sessions.len();
+        // Removing the map entry drops the manager's handle; the session
+        // itself (and its pending-verify cancellation) drops when any
+        // concurrent frame on it finishes.
+        state.sessions.retain(|_, slot| !self.is_idle(slot, now));
+        let n = (before - state.sessions.len()) as u64;
         if n > 0 {
             state.stats.expired += n;
             drop(state);
@@ -256,8 +274,42 @@ impl SessionManager {
         }
     }
 
+    /// The per-frame sweep, throttled: walking every live session (state
+    /// mutex plus a `try_lock` each) on every frame made each frame
+    /// O(sessions). A quarter of the timeout between sweeps keeps memory
+    /// reclamation prompt, and [`SessionManager::slot`] checks the
+    /// addressed session's own stamp, so an expired session is never
+    /// served in between.
+    fn sweep_if_due(&self) {
+        let now = self.clock.now_ns();
+        let due = self.next_sweep_ns.load(Ordering::SeqCst);
+        let next = now.saturating_add(self.idle_timeout_ns() / 4);
+        // One winner per interval; losers' frames proceed unswept.
+        if now >= due
+            && self
+                .next_sweep_ns
+                .compare_exchange(due, next, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        {
+            self.sweep_idle();
+        }
+    }
+
+    /// Look up a live session, expiring it on the spot if its own stamp
+    /// is past the timeout (the sweep that would have caught it may not
+    /// have run yet).
     fn slot(&self, id: u64) -> Option<Arc<Slot>> {
-        lock(&self.state, &self.obs).sessions.get(&id).cloned()
+        let now = self.clock.now_ns();
+        let mut state = lock(&self.state, &self.obs);
+        let slot = state.sessions.get(&id).cloned()?;
+        if self.is_idle(&slot, now) {
+            state.sessions.remove(&id);
+            state.stats.expired += 1;
+            drop(state);
+            self.obs.add(names::SRV_SESSIONS_EXPIRED, 1);
+            return None;
+        }
+        Some(slot)
     }
 
     /// Evict `id` after a frame observed it over the memory cap.
@@ -270,34 +322,48 @@ impl SessionManager {
         }
     }
 
-    /// Handle one raw request line: parse, dispatch, render the response
-    /// frame. Never panics; every failure becomes an `"ok": false`
-    /// frame. `opened`/`closed` session ids are appended to `lifecycle`
-    /// when provided so a connection can tear down what it owns — and
-    /// when provided, session-addressed frames are restricted to the
-    /// sessions that connection opened (others get `unknown_session`).
-    pub fn handle_line(&self, line: &str, lifecycle: Option<&mut ConnSessions>) -> String {
+    /// Handle one raw request line: parse, dispatch, and append the
+    /// response frame (no terminator) to `out` — the one rendering path;
+    /// the transport passes its per-connection output buffer, so a reply
+    /// is rendered once, into the bytes that go to the socket. Whatever
+    /// `out` already holds is left untouched. Never panics; every failure
+    /// becomes an `"ok": false` frame. `opened`/`closed` session ids are
+    /// appended to `lifecycle` when provided so a connection can tear
+    /// down what it owns — and when provided, session-addressed frames
+    /// are restricted to the sessions that connection opened (others get
+    /// `unknown_session`).
+    pub fn handle_line_into(
+        &self,
+        line: &str,
+        lifecycle: Option<&mut ConnSessions>,
+        out: &mut String,
+    ) {
         let t0 = Instant::now();
         self.obs.add(names::SRV_FRAMES, 1);
-        let response = match parse_request(line) {
-            Ok(req) => self.dispatch(req, lifecycle),
-            Err(e) => {
-                self.obs.add(names::SRV_FRAME_ERRORS, 1);
-                e.to_frame()
-            }
-        };
+        match parse_request(line) {
+            Ok(req) => self.dispatch(req, lifecycle, out),
+            Err(e) => self.fail(&e, out),
+        }
         self.obs.observe_ns(names::SRV_FRAME_NS, t0.elapsed());
-        response
+    }
+
+    /// [`SessionManager::handle_line_into`] into a fresh `String`.
+    pub fn handle_line(&self, line: &str, lifecycle: Option<&mut ConnSessions>) -> String {
+        let mut out = String::new();
+        self.handle_line_into(line, lifecycle, &mut out);
+        out
     }
 
     /// Handle an already-parsed request (the manager-level entry point
-    /// used by tests and the bench harness; `handle_line` wraps it).
+    /// used by tests and the bench harness).
     pub fn handle(&self, req: Request) -> String {
-        self.dispatch(req, None)
+        let mut out = String::new();
+        self.dispatch(req, None, &mut out);
+        out
     }
 
-    fn dispatch(&self, req: Request, lifecycle: Option<&mut ConnSessions>) -> String {
-        self.sweep_idle();
+    fn dispatch(&self, req: Request, lifecycle: Option<&mut ConnSessions>, out: &mut String) {
+        self.sweep_if_due();
         // Sessions are connection-scoped: ids are sequential (guessable),
         // so a frame arriving over a connection may only address sessions
         // that connection opened — anything else is answered exactly like
@@ -305,39 +371,42 @@ impl SessionManager {
         // the bench harness) pass no `lifecycle` and stay unrestricted.
         if let (Some(conn), Some(sid)) = (lifecycle.as_ref(), req.session_id()) {
             if !conn.owns(sid) {
-                return self.unknown_session(sid);
+                return self.unknown_session(sid, out);
             }
         }
         match req {
-            Request::Ping => "{\"ok\":true,\"pong\":true}".to_owned(),
+            Request::Ping => out.push_str("{\"ok\":true,\"pong\":true}"),
             Request::Open { sigma } => match self.open(sigma) {
                 Some(id) => {
                     if let Some(conn) = lifecycle {
                         conn.track(id);
                     }
-                    format!("{{\"ok\":true,\"session\":{id}}}")
+                    put!(out, "{{\"ok\":true,\"session\":{id}}}");
                 }
-                None => {
-                    self.obs.add(names::SRV_FRAME_ERRORS, 1);
-                    error_frame("server_full", "session limit reached")
-                }
+                None => self.fail(
+                    &ProtoError {
+                        code: "server_full",
+                        message: "session limit reached".to_owned(),
+                    },
+                    out,
+                ),
             },
             Request::Close { session } => {
                 if let Some(conn) = lifecycle {
                     conn.untrack(session);
                 }
                 if self.close(session) {
-                    "{\"ok\":true,\"closed\":true}".to_owned()
+                    out.push_str("{\"ok\":true,\"closed\":true}");
                 } else {
-                    self.unknown_session(session)
+                    self.unknown_session(session, out);
                 }
             }
-            Request::Stats => self.stats_frame(),
+            Request::Stats => self.stats_frame(out),
             Request::Node {
                 session,
                 label,
                 name,
-            } => self.with_session(session, |mgr, s| {
+            } => self.with_session(session, out, |mgr, s, out| {
                 let label = match (label, name) {
                     (Some(l), _) => Label(l),
                     (None, Some(n)) => match mgr.system.labels().get(&n) {
@@ -349,98 +418,105 @@ impl SessionManager {
                             })
                         }
                     },
-                    (None, None) => return Err(bad_session_frame("'node' needs 'label' or 'name'")),
+                    (None, None) => {
+                        return Err(bad_session_frame("'node' needs 'label' or 'name'"))
+                    }
                 };
-                Ok(format!(
-                    "{{\"ok\":true,\"node\":{}}}",
-                    s.add_node(label)
-                ))
+                put!(out, "{{\"ok\":true,\"node\":{}}}", s.add_node(label));
+                Ok(())
             }),
-            Request::Edge { session, u, v } => self.with_session_gated(session, |_, s| {
-                let out = s.add_edge(u, v).map_err(session_error)?;
-                let status = status_str(out.status);
-                let suggested = out
-                    .suggestion
-                    .as_ref()
-                    .map_or(String::new(), |sug| format!(",\"suggested_edge\":{}", sug.edge));
-                Ok(format!(
-                    "{{\"ok\":true,\"edge\":{},\"status\":\"{status}\",\"candidates\":{}{suggested},\"elapsed_ns\":{}}}",
-                    out.edge,
-                    out.candidate_count,
-                    out.total_time().as_nanos()
-                ))
-            }),
-            Request::Delete { session, edges } => self.with_session_gated(session, |_, s| {
-                let out = s.delete_edges(&edges).map_err(session_error)?;
-                Ok(format!(
-                    "{{\"ok\":true,\"candidates\":{},\"elapsed_ns\":{}}}",
-                    out.candidate_count,
-                    out.modify_time.as_nanos()
-                ))
-            }),
+            Request::Edge { session, u, v } => {
+                self.with_session_gated(session, out, |_, s, out| {
+                    let step = s.add_edge(u, v).map_err(session_error)?;
+                    put!(
+                        out,
+                        "{{\"ok\":true,\"edge\":{},\"status\":\"{}\",\"candidates\":{}",
+                        step.edge,
+                        status_str(step.status),
+                        step.candidate_count
+                    );
+                    if let Some(sug) = &step.suggestion {
+                        put!(out, ",\"suggested_edge\":{}", sug.edge);
+                    }
+                    put!(out, ",\"elapsed_ns\":{}}}", step.total_time().as_nanos());
+                    Ok(())
+                })
+            }
+            Request::Delete { session, edges } => {
+                self.with_session_gated(session, out, |_, s, out| {
+                    let step = s.delete_edges(&edges).map_err(session_error)?;
+                    put!(
+                        out,
+                        "{{\"ok\":true,\"candidates\":{},\"elapsed_ns\":{}}}",
+                        step.candidate_count,
+                        step.modify_time.as_nanos()
+                    );
+                    Ok(())
+                })
+            }
             Request::Relabel {
                 session,
                 node,
                 label,
-            } => self.with_session_gated(session, |_, s| {
+            } => self.with_session_gated(session, out, |_, s, out| {
                 let new_edges = s.relabel_node(node, Label(label)).map_err(session_error)?;
-                let rendered: Vec<String> = new_edges.iter().map(u32::to_string).collect();
-                Ok(format!(
-                    "{{\"ok\":true,\"new_edges\":[{}]}}",
-                    rendered.join(",")
-                ))
+                out.push_str("{\"ok\":true,\"new_edges\":[");
+                put_list(out, &new_edges, |out, e| put!(out, "{e}"));
+                out.push_str("]}");
+                Ok(())
             }),
-            Request::Similar { session } => self.with_session(session, |_, s| {
+            Request::Similar { session } => self.with_session(session, out, |_, s, out| {
                 let n = s.choose_similarity().map_err(session_error)?;
-                Ok(format!("{{\"ok\":true,\"candidates\":{n}}}"))
+                put!(out, "{{\"ok\":true,\"candidates\":{n}}}");
+                Ok(())
             }),
-            Request::Run { session } => self.with_session_gated(session, |_, s| {
-                let out = s.run().map_err(session_error)?;
-                let results = match &out.results {
+            Request::Run { session } => self.with_session_gated(session, out, |_, s, out| {
+                let run = s.run().map_err(session_error)?;
+                match &run.results {
                     QueryResults::Exact(ids) => {
-                        let rendered: Vec<String> = ids.iter().map(u32::to_string).collect();
-                        format!("\"kind\":\"exact\",\"results\":[{}]", rendered.join(","))
+                        out.push_str("{\"ok\":true,\"kind\":\"exact\",\"results\":[");
+                        put_list(out, ids, |out, id| put!(out, "{id}"));
                     }
                     QueryResults::Similar(sim) => {
-                        let rendered: Vec<String> = sim
-                            .matches
-                            .iter()
-                            .map(|m| {
-                                format!(
-                                    "{{\"graph\":{},\"distance\":{}}}",
-                                    m.graph_id, m.distance
-                                )
-                            })
-                            .collect();
-                        format!("\"kind\":\"similar\",\"results\":[{}]", rendered.join(","))
+                        out.push_str("{\"ok\":true,\"kind\":\"similar\",\"results\":[");
+                        put_list(out, &sim.matches, |out, m| {
+                            put!(
+                                out,
+                                "{{\"graph\":{},\"distance\":{}}}",
+                                m.graph_id,
+                                m.distance
+                            );
+                        });
                     }
-                };
-                Ok(format!(
-                    "{{\"ok\":true,{results},\"srt_ns\":{}}}",
-                    out.srt.as_nanos()
-                ))
+                }
+                put!(out, "],\"srt_ns\":{}}}", run.srt.as_nanos());
+                Ok(())
             }),
         }
     }
 
     /// Run `f` on the session, serialized against other frames for the
     /// same session, stamping last-used and enforcing the memory cap.
-    fn with_session<F>(&self, id: u64, f: F) -> String
+    /// `f` appends its reply to `out`; if it fails — even after writing
+    /// part of one — `out` is cut back to where the frame began and the
+    /// error frame goes there instead.
+    fn with_session<F>(&self, id: u64, out: &mut String, f: F)
     where
-        F: FnOnce(&Self, &mut Session<'static>) -> Result<String, ProtoError>,
+        F: FnOnce(&Self, &mut Session<'static>, &mut String) -> Result<(), ProtoError>,
     {
         let Some(slot) = self.slot(id) else {
-            return self.unknown_session(id);
+            return self.unknown_session(id, out);
         };
         slot.last_used_ns
             .store(self.clock.now_ns(), Ordering::SeqCst);
+        let mark = out.len();
         let mut session = lock(&slot.session, &self.obs);
         // Holding the session mutex across the handler IS the contract —
         // frames for one session serialize (one user, one canvas). The
         // guard is per-session and never nested inside the manager-state
         // or gate locks, so no ordering cycle.
         // audit:allow(lock-across-call): per-session serialization by design
-        let result = f(self, &mut session);
+        let result = f(self, &mut session, out);
         let over_cap = session.memo().bytes() > self.cfg.session_memory_cap;
         drop(session);
         // Stamp again now the frame is done: idleness is measured from
@@ -452,12 +528,9 @@ impl SessionManager {
         if over_cap {
             self.evict(id);
         }
-        match result {
-            Ok(frame) => frame,
-            Err(e) => {
-                self.obs.add(names::SRV_FRAME_ERRORS, 1);
-                e.to_frame()
-            }
+        if let Err(e) = result {
+            out.truncate(mark);
+            self.fail(&e, out);
         }
     }
 
@@ -465,36 +538,60 @@ impl SessionManager {
     /// verification pool passes through the fair gate first: the frame
     /// blocks until this session is granted a slot, and the wait is
     /// recorded as `srv.queue_wait_ns`.
-    fn with_session_gated<F>(&self, id: u64, f: F) -> String
+    fn with_session_gated<F>(&self, id: u64, out: &mut String, f: F)
     where
-        F: FnOnce(&Self, &mut Session<'static>) -> Result<String, ProtoError>,
+        F: FnOnce(&Self, &mut Session<'static>, &mut String) -> Result<(), ProtoError>,
     {
-        self.with_session(id, |mgr, session| {
+        self.with_session(id, out, |mgr, session, out| {
             let permit = mgr.gate.acquire(id);
             mgr.obs
                 .observe_ns(names::SRV_QUEUE_WAIT_NS, permit.waited());
-            f(mgr, session)
-        })
+            f(mgr, session, out)
+        });
     }
 
-    fn unknown_session(&self, id: u64) -> String {
+    /// Count a failed frame and append its error frame to `out`.
+    fn fail(&self, e: &ProtoError, out: &mut String) {
         self.obs.add(names::SRV_FRAME_ERRORS, 1);
-        error_frame("unknown_session", &format!("no live session {id}"))
+        out.push_str(&e.to_frame());
     }
 
-    fn stats_frame(&self) -> String {
+    fn unknown_session(&self, id: u64, out: &mut String) {
+        self.fail(
+            &ProtoError {
+                code: "unknown_session",
+                message: format!("no live session {id}"),
+            },
+            out,
+        );
+    }
+
+    fn stats_frame(&self, out: &mut String) {
+        // `stats` reports what a sweep would find, not what the last one
+        // left behind.
+        self.sweep_idle();
         let state = lock(&self.state, &self.obs);
         let sessions = state.sessions.len();
         let stats = state.stats;
         drop(state);
-        format!(
-            "{{\"ok\":true,\"sessions\":{sessions},\"opened\":{},\"closed\":{},\"expired\":{},\"evicted\":{},\"db_graphs\":{}}}",
-            stats.opened,
-            stats.closed,
-            stats.expired,
-            stats.evicted,
-            self.system.db().len()
-        )
+        put!(out, "{{\"ok\":true,\"sessions\":{sessions},\"opened\":{},\"closed\":{},\"expired\":{},\"evicted\":{},\"db_graphs\":{}}}",
+                stats.opened,
+                stats.closed,
+                stats.expired,
+                stats.evicted,
+                self.system.db().len());
+    }
+}
+
+/// Append `items`, comma-separated, each rendered by `item`.
+fn put_list<T>(out: &mut String, items: &[T], item: impl Fn(&mut String, &T)) {
+    let mut rest = items.iter();
+    if let Some(first) = rest.next() {
+        item(out, first);
+    }
+    for x in rest {
+        out.push(',');
+        item(out, x);
     }
 }
 
@@ -819,11 +916,13 @@ mod tests {
         // session mutex, a concurrent sweep runs against a stale stamp.
         // The held mutex marks the session in flight, so the sweep must
         // skip it rather than expire it mid-frame.
-        let resp = mgr.with_session(id, |m, _s| {
+        let mut resp = String::new();
+        mgr.with_session(id, &mut resp, |m, _s, out| {
             clock.advance(Duration::from_secs(60));
             m.sweep_idle();
             assert!(m.is_live(id), "swept while a frame was in flight");
-            Ok("{\"ok\":true}".to_owned())
+            out.push_str("{\"ok\":true}");
+            Ok(())
         });
         assert!(resp.contains("\"ok\":true"), "{resp}");
         // The stamp was refreshed when the frame *finished*: an
@@ -835,6 +934,117 @@ mod tests {
         mgr.sweep_idle();
         assert!(!mgr.is_live(id));
         assert_eq!(mgr.lifecycle_stats().expired, 1);
+    }
+
+    #[test]
+    fn frames_sweep_once_per_quarter_timeout_and_never_serve_an_expired_session() {
+        let (mgr, clock) = manager_with(
+            ServerConfig {
+                idle_timeout: Duration::from_secs(60),
+                ..Default::default()
+            },
+            1,
+        );
+        let addressed = mgr.open(None).unwrap();
+        let bystander = mgr.open(None).unwrap();
+        clock.advance(Duration::from_secs(50));
+        mgr.handle(Request::Ping); // sweeps (nothing is idle); next sweep due at t=65
+        clock.advance(Duration::from_secs(11));
+        // t=61: both sessions are past the timeout and no sweep is due.
+        // A frame skips the walk over every session …
+        mgr.handle(Request::Ping);
+        assert!(mgr.is_live(addressed) && mgr.is_live(bystander));
+        // … but the session a frame addresses is checked on lookup.
+        let resp = mgr.handle(Request::Run { session: addressed });
+        assert!(resp.contains("unknown_session"), "{resp}");
+        assert!(!mgr.is_live(addressed));
+        assert!(mgr.is_live(bystander));
+        assert_eq!(mgr.lifecycle_stats().expired, 1);
+        // t=66: the sweep is due again and the next frame runs it.
+        clock.advance(Duration::from_secs(5));
+        mgr.handle(Request::Ping);
+        assert!(!mgr.is_live(bystander));
+        assert_eq!(mgr.lifecycle_stats().expired, 2);
+    }
+
+    /// `reply` without the digits of its timing field, the only bytes
+    /// that differ between two replays of one script.
+    fn untimed(reply: &str) -> String {
+        let mut out = reply.to_owned();
+        for key in ["\"elapsed_ns\":", "\"srt_ns\":"] {
+            if let Some(at) = out.find(key) {
+                let from = at + key.len();
+                let digits = out[from..].bytes().take_while(u8::is_ascii_digit).count();
+                out.replace_range(from..from + digits, "");
+            }
+        }
+        out
+    }
+
+    /// Frames that between them reach every arm of `dispatch`, ok and
+    /// failing, for session 1 of a fresh manager.
+    const FRAMES: &[&str] = &[
+        "{\"op\":\"ping\"}",
+        "{\"op\":\"open\"}",
+        "{\"op\":\"stats\"}",
+        "{\"op\":\"node\",\"session\":1,\"label\":0}",
+        "{\"op\":\"node\",\"session\":1,\"label\":1}",
+        "{\"op\":\"node\",\"session\":1,\"name\":\"nope\"}",
+        "{\"op\":\"edge\",\"session\":1,\"u\":0,\"v\":1}",
+        "{\"op\":\"edge\",\"session\":1,\"u\":1,\"v\":2}",
+        "{\"op\":\"edge\",\"session\":1,\"u\":2,\"v\":3}",
+        "{\"op\":\"delete\",\"session\":1,\"edge\":1}",
+        "{\"op\":\"relabel\",\"session\":1,\"node\":0,\"label\":2}",
+        "{\"op\":\"similar\",\"session\":1}",
+        "{\"op\":\"run\",\"session\":1}",
+        "{\"op\":\"run\",\"session\":7}",
+        "{\"op\":\"close\",\"session\":1}",
+        "{\"op\":\"warp\"}",
+        "not json",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `handle_line_into` appends exactly what `handle_line` returns
+        /// and never touches what the buffer already held — the transport
+        /// relies on this to collect a read's replies in one buffer.
+        #[test]
+        fn handle_line_into_appends_exactly_the_reply(
+            prefix in proptest::collection::vec(0x20u16..0x7f, 0..40),
+            script in proptest::collection::vec(0..FRAMES.len(), 1..40),
+        ) {
+            let system = system(1);
+            let twin = |system: &Arc<PragueSystem>| {
+                SessionManager::new(
+                    Arc::clone(system),
+                    ServerConfig::default(),
+                    Arc::new(FakeClock::new()),
+                )
+            };
+            let (whole, appended) = (twin(&system), twin(&system));
+            let prefix: String = prefix.iter().map(|&c| char::from(c as u8)).collect();
+            let mut buf = prefix.clone();
+            for &i in &script {
+                let reply = whole.handle_line(FRAMES[i], None);
+                let mark = buf.len();
+                appended.handle_line_into(FRAMES[i], None, &mut buf);
+                proptest::prop_assert_eq!(&buf[..prefix.len()], prefix.as_str());
+                proptest::prop_assert_eq!(untimed(&buf[mark..]), untimed(&reply), "{}", FRAMES[i]);
+            }
+
+            // A handler that fails after writing part of its reply: the
+            // part is cut away and the error frame stands in its place.
+            let id = appended.open(None).unwrap();
+            let mark = buf.len();
+            let failure = bad_session_frame("failed halfway");
+            appended.with_session(id, &mut buf, |_, _, out| {
+                out.push_str("{\"ok\":true,\"results\":[1,2,");
+                Err(failure.clone())
+            });
+            proptest::prop_assert_eq!(&buf[..prefix.len()], prefix.as_str());
+            proptest::prop_assert_eq!(&buf[mark..], failure.to_frame());
+        }
     }
 
     #[test]

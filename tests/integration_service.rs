@@ -26,7 +26,7 @@ use prague_datagen::{derive_containment_query, MoleculeConfig, QuerySpec};
 use prague_graph::{Graph, GraphDb, Label, NodeId};
 use prague_obs::json::{self, Value};
 use prague_obs::{names, Obs};
-use prague_server::{Server, ServerConfig, SessionManager, SystemClock};
+use prague_server::{Server, ServerConfig, SessionManager, SystemClock, FRAME_BURST, FRAME_RATE};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -372,21 +372,30 @@ fn service(threads: usize, cfg: ServerConfig) -> Arc<SessionManager> {
     ))
 }
 
+/// One frame, one `write`: the terminator travels with the body, so the
+/// frame is never split into two segments with Nagle holding the second
+/// until the server's delayed ACK.
 fn send_line(stream: &mut TcpStream, line: &str) {
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|_| stream.write_all(b"\n"))
-        .expect("client write");
+    let mut frame = String::with_capacity(line.len() + 1);
+    frame.push_str(line);
+    frame.push('\n');
+    stream.write_all(frame.as_bytes()).expect("client write");
+}
+
+/// Read one reply exactly as it came off the socket, terminator included.
+fn read_raw(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("client read");
+    line
 }
 
 fn read_line(reader: &mut BufReader<TcpStream>) -> String {
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("client read");
-    line.trim().to_owned()
+    read_raw(reader).trim().to_owned()
 }
 
 fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
@@ -682,6 +691,413 @@ fn connection_cap_refuses_extra_connections_with_a_typed_frame() {
         let mut line = String::new();
         r.read_line(&mut line).ok();
         line.contains("\"pong\":true")
+    });
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// the reply path: one buffer, one write per read
+// ---------------------------------------------------------------------------
+
+/// `reply` with the digits of its timing field (`elapsed_ns` / `srt_ns`,
+/// the only bytes of a reply that differ between two replays) removed.
+fn untimed(reply: &str) -> String {
+    let mut out = reply.to_owned();
+    for key in ["\"elapsed_ns\":", "\"srt_ns\":"] {
+        if let Some(at) = out.find(key) {
+            let from = at + key.len();
+            let digits = out[from..].bytes().take_while(u8::is_ascii_digit).count();
+            out.replace_range(from..from + digits, "");
+        }
+    }
+    out
+}
+
+#[test]
+fn ping_round_trip_over_loopback_is_not_stalled_by_the_transport() {
+    let mgr = service(1, ServerConfig::default());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&mgr)).expect("bind");
+    let (mut stream, mut reader) = connect(server.local_addr());
+    let mut round_trips: Vec<Duration> = (0..200)
+        .map(|_| {
+            let t0 = Instant::now();
+            send_line(&mut stream, "{\"op\":\"ping\"}");
+            let pong = read_raw(&mut reader);
+            let took = t0.elapsed();
+            assert_eq!(pong, "{\"ok\":true,\"pong\":true}\n");
+            took
+        })
+        .collect();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    // A reply sent as body-then-newline without TCP_NODELAY waits for the
+    // client's delayed ACK: 40 ms and up on every frame. Handling a ping
+    // takes microseconds, so anything near that is the transport.
+    assert!(
+        median < Duration::from_millis(5),
+        "median ping round trip {median:?}: replies are stalling in the transport"
+    );
+    drop((stream, reader));
+    server.shutdown();
+}
+
+#[test]
+fn a_connection_past_its_burst_is_answered_at_the_sustained_rate() {
+    let mgr = service(1, ServerConfig::default());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&mgr)).expect("bind");
+    let (mut stream, mut reader) = connect(server.local_addr());
+    let mut pings = |n: u32| {
+        let t0 = Instant::now();
+        for _ in 0..n {
+            send_line(&mut stream, "{\"op\":\"ping\"}");
+            assert_eq!(read_raw(&mut reader), "{\"ok\":true,\"pong\":true}\n");
+        }
+        t0.elapsed()
+    };
+    let at_rate = |n: u32| Duration::from_secs(1) * n / FRAME_RATE;
+
+    // The burst allowance is answered as fast as it is handled …
+    let burst = pings(FRAME_BURST);
+    assert!(
+        burst < at_rate(FRAME_BURST) / 2,
+        "{FRAME_BURST} pings took {burst:?}: the burst is being paced"
+    );
+    // … and a client that keeps going without a pause gets FRAME_RATE
+    // frames a second: no faster, and — the schedule being absolute, so
+    // late wake-ups do not add up — not much slower either.
+    let paced = pings(50);
+    assert!(
+        paced >= at_rate(50) * 9 / 10 && paced < at_rate(50) * 3,
+        "50 pings past the burst took {paced:?}, {:?} at the sustained rate",
+        at_rate(50)
+    );
+    // Time without frames is credit: after 300 ms, 20 frames go straight
+    // through again.
+    std::thread::sleep(Duration::from_millis(300));
+    let after_lull = pings(20);
+    assert!(
+        after_lull < at_rate(20) / 2,
+        "20 pings after a lull took {after_lull:?}"
+    );
+    drop((stream, reader));
+    server.shutdown();
+
+    // The holds are on the server's own books, apart from handling and
+    // transport: about one per paced frame, adding up to the paced time.
+    let snap = mgr.system().obs().snapshot().expect("obs enabled");
+    let held = snap
+        .histogram(names::SRV_PACE_NS)
+        .expect("holds are metered");
+    assert!((40..=60).contains(&held.count), "{} holds", held.count);
+    let sum = Duration::from_nanos(held.sum);
+    assert!(
+        sum <= paced && sum >= paced / 2,
+        "held {sum:?} of {paced:?}"
+    );
+}
+
+#[test]
+fn pipelined_and_split_frames_are_answered_once_each_in_order() {
+    let mgr = service(1, ServerConfig::default());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&mgr)).expect("bind");
+    let (mut stream, mut reader) = connect(server.local_addr());
+
+    // Three frames in one write: three replies, in request order.
+    stream
+        .write_all(
+            b"{\"op\":\"open\"}\n{\"op\":\"node\",\"session\":1,\"name\":\"C\"}\n{\"op\":\"stats\"}\n",
+        )
+        .expect("pipelined write");
+    assert_eq!(read_raw(&mut reader), "{\"ok\":true,\"session\":1}\n");
+    assert_eq!(read_raw(&mut reader), "{\"ok\":true,\"node\":0}\n");
+    let stats = read_raw(&mut reader);
+    assert!(stats.contains("\"sessions\":1"), "{stats}");
+
+    // One frame split mid-line across two writes (the first flushed onto
+    // the wire before the second is sent): answered once, when complete,
+    // and a frame glued behind its tail is answered after it.
+    stream
+        .write_all(b"{\"op\":\"node\",\"sess")
+        .expect("first half");
+    std::thread::sleep(Duration::from_millis(50));
+    stream
+        .write_all(b"ion\":1,\"name\":\"C\"}\n{\"op\":\"ping\"}\n")
+        .expect("second half");
+    assert_eq!(read_raw(&mut reader), "{\"ok\":true,\"node\":1}\n");
+    assert_eq!(read_raw(&mut reader), "{\"ok\":true,\"pong\":true}\n");
+
+    // Nothing else is in flight: the next reply is the next frame's.
+    send_line(&mut stream, "{\"op\":\"close\",\"session\":1}");
+    let closed = read_raw(&mut reader);
+    assert_eq!(closed, "{\"ok\":true,\"closed\":true}\n");
+    drop((stream, reader));
+    server.shutdown();
+
+    // The write meter saw every byte the client read, in fewer writes
+    // than there were frames (six frames, at most four reads).
+    let snap = mgr.system().obs().snapshot().expect("obs enabled");
+    let bytes = snap
+        .histogram(names::SRV_REPLY_BYTES)
+        .expect("reply writes are metered");
+    let read = "{\"ok\":true,\"session\":1}\n{\"ok\":true,\"node\":0}\n{\"ok\":true,\"node\":1}\n{\"ok\":true,\"pong\":true}\n"
+        .len()
+        + stats.len()
+        + closed.len();
+    assert_eq!(bytes.sum, read as u64);
+    assert!(bytes.count < 6, "{} writes for 6 frames", bytes.count);
+    let write_ns = snap
+        .histogram(names::SRV_WRITE_NS)
+        .expect("reply writes are timed");
+    assert_eq!(write_ns.count, bytes.count);
+}
+
+/// The reply rendering of the parent commit (`Vec<String>` + `join`
+/// inside nested `format!`s), kept here as the reference the streamed
+/// rendering must reproduce byte for byte.
+fn joined_run_reply(reply: &Value) -> String {
+    let results = reply
+        .get("results")
+        .and_then(Value::as_array)
+        .expect("run carries results");
+    let kind = field_str(reply, "kind");
+    let rendered: Vec<String> = results
+        .iter()
+        .map(|m| match m {
+            Value::Number(id) => (*id as u64).to_string(),
+            obj => format!(
+                "{{\"graph\":{},\"distance\":{}}}",
+                field_u64(obj, "graph"),
+                field_u64(obj, "distance")
+            ),
+        })
+        .collect();
+    format!(
+        "{{\"ok\":true,\"kind\":\"{kind}\",\"results\":[{}],\"srt_ns\":{}}}",
+        rendered.join(","),
+        field_u64(reply, "srt_ns")
+    )
+}
+
+#[test]
+fn a_run_reply_larger_than_64_kib_arrives_intact() {
+    // 16 000 copies of one C-S edge: the one-edge query matches them all,
+    // so the reply lists 16 000 ids — about 90 KiB, past the line cap
+    // that bounds *requests* and past any one socket buffer write.
+    const GRAPHS: usize = 16_000;
+    let mut edge = Graph::new();
+    let (c, s) = (edge.add_node(Label(0)), edge.add_node(Label(1)));
+    edge.add_edge(c, s).expect("distinct endpoints");
+    let db = GraphDb::from_graphs(vec![edge; GRAPHS]);
+    let mgr = Arc::new(SessionManager::new(
+        Arc::new(build(db)),
+        ServerConfig::default(),
+        Arc::new(SystemClock::new()),
+    ));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&mgr)).expect("bind");
+    let (mut stream, mut reader) = connect(server.local_addr());
+    for frame in [
+        "{\"op\":\"open\"}",
+        "{\"op\":\"node\",\"session\":1,\"label\":0}",
+        "{\"op\":\"node\",\"session\":1,\"label\":1}",
+        "{\"op\":\"edge\",\"session\":1,\"u\":0,\"v\":1}",
+    ] {
+        send_line(&mut stream, frame);
+        let resp = read_line(&mut reader);
+        assert_ok(&parsed(&resp), &resp);
+    }
+    send_line(&mut stream, "{\"op\":\"run\",\"session\":1}");
+    let raw = read_raw(&mut reader);
+    assert!(raw.len() > 64 * 1024, "reply is only {} bytes", raw.len());
+    let run = raw.strip_suffix('\n').expect("terminated");
+    assert!(!run.contains('\n'), "one reply, one line");
+    let rv = parsed(run);
+    assert_ok(&rv, &run[..80]);
+    let ids: Vec<u64> = rv
+        .get("results")
+        .and_then(Value::as_array)
+        .expect("run carries results")
+        .iter()
+        .map(|v| v.as_f64().expect("exact results are ids") as u64)
+        .collect();
+    assert_eq!(ids, (0..GRAPHS as u64).collect::<Vec<_>>());
+    assert_eq!(run, joined_run_reply(&rv), "rendering drifted");
+
+    // Four of them pipelined: more output than the server buffers for
+    // one read, so it is written out in parts — still whole, in order.
+    let four = "{\"op\":\"run\",\"session\":1}\n".repeat(4);
+    stream.write_all(four.as_bytes()).expect("pipelined runs");
+    for _ in 0..4 {
+        assert_eq!(untimed(&read_raw(&mut reader)), untimed(&raw));
+    }
+    send_line(&mut stream, "{\"op\":\"ping\"}");
+    assert_eq!(read_raw(&mut reader), "{\"ok\":true,\"pong\":true}\n");
+    drop((stream, reader));
+    server.shutdown();
+}
+
+#[test]
+fn socket_bytes_equal_handle_line_for_every_op_and_error_kind() {
+    // Two managers over one system: the same frames produce the same
+    // session ids and the same state, one behind a socket, one called
+    // directly. Every reply must be `handle_line`'s return value plus
+    // one newline — nothing reordered, merged, dropped or re-rendered.
+    let cfg = ServerConfig {
+        max_sessions: 2,
+        max_conns: 1,
+        ..Default::default()
+    };
+    let system = Arc::new(shallow_molecule_system(1));
+    let manager = |cfg: &ServerConfig| {
+        Arc::new(SessionManager::new(
+            Arc::clone(&system),
+            cfg.clone(),
+            Arc::new(SystemClock::new()),
+        ))
+    };
+    let direct = manager(&cfg);
+    let served = manager(&cfg);
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&served)).expect("bind");
+    let (mut stream, mut reader) = connect(server.local_addr());
+    let mut owned = prague_server::ConnSessions::new();
+
+    // (frame, the reply's "error" code or "" for ok)
+    let script: &[(&str, &str)] = &[
+        ("{\"op\":\"ping\"}", ""),
+        ("{\"op\":\"stats\"}", ""),
+        ("{\"op\":\"open\",\"sigma\":2}", ""),
+        ("{\"op\":\"open\"}", ""),
+        ("{\"op\":\"open\"}", "server_full"),
+        ("{\"op\":\"close\",\"session\":2}", ""),
+        ("{\"op\":\"close\",\"session\":2}", "unknown_session"),
+        ("{\"op\":\"run\",\"session\":1}", "query_error"),
+        ("{\"op\":\"node\",\"session\":1,\"name\":\"C\"}", ""),
+        ("{\"op\":\"node\",\"session\":1,\"name\":\"C\"}", ""),
+        ("{\"op\":\"node\",\"session\":1,\"name\":\"C\"}", ""),
+        ("{\"op\":\"node\",\"session\":1,\"name\":\"C\"}", ""),
+        ("{\"op\":\"node\",\"session\":1,\"label\":0}", ""),
+        (
+            "{\"op\":\"node\",\"session\":1,\"name\":\"Qq\"}",
+            "unknown_label",
+        ),
+        ("{\"op\":\"node\",\"session\":1}", "bad_frame"),
+        ("{\"op\":\"edge\",\"session\":1,\"u\":0,\"v\":1}", ""),
+        (
+            "{\"op\":\"edge\",\"session\":1,\"u\":0,\"v\":1}",
+            "query_error",
+        ),
+        (
+            "{\"op\":\"edge\",\"session\":1,\"u\":0,\"v\":77}",
+            "query_error",
+        ),
+        ("{\"op\":\"edge\",\"session\":1,\"u\":1,\"v\":2}", ""),
+        ("{\"op\":\"edge\",\"session\":1,\"u\":2,\"v\":3}", ""),
+        ("{\"op\":\"edge\",\"session\":1,\"u\":3,\"v\":4}", ""),
+        ("{\"op\":\"run\",\"session\":1}", ""),
+        ("{\"op\":\"delete\",\"session\":1,\"edge\":4}", ""),
+        (
+            "{\"op\":\"delete\",\"session\":1,\"edges\":[99]}",
+            "query_error",
+        ),
+        (
+            "{\"op\":\"relabel\",\"session\":1,\"node\":1,\"label\":1}",
+            "",
+        ),
+        (
+            "{\"op\":\"relabel\",\"session\":1,\"node\":1,\"label\":0}",
+            "",
+        ),
+        (
+            "{\"op\":\"relabel\",\"session\":1,\"node\":99,\"label\":0}",
+            "query_error",
+        ),
+        ("{\"op\":\"run\",\"session\":1}", ""),
+        ("{\"op\":\"similar\",\"session\":1}", ""),
+        ("{\"op\":\"run\",\"session\":1}", ""),
+        ("{\"op\":\"stats\"}", ""),
+        ("{\"op\":\"warp\"}", "unknown_op"),
+        ("this is not json", "bad_json"),
+        ("", "bad_json"),
+        ("{\"op\":\"run\",\"session\":424242}", "unknown_session"),
+        ("{\"op\":\"close\",\"session\":1}", ""),
+    ];
+    let mut kinds = std::collections::BTreeSet::new();
+    for &(frame, code) in script {
+        let expected = direct.handle_line(frame, Some(&mut owned));
+        send_line(&mut stream, frame);
+        let raw = read_raw(&mut reader);
+        assert_eq!(
+            untimed(&raw),
+            untimed(&expected) + "\n",
+            "for frame {frame}"
+        );
+        let v = parsed(raw.trim_end());
+        let got = v.get("error").and_then(Value::as_str).unwrap_or("");
+        assert_eq!(got, code, "for frame {frame}: {raw}");
+        if let Some(kind) = v.get("kind").and_then(Value::as_str) {
+            kinds.insert(kind.to_owned());
+            assert_eq!(raw.trim_end(), joined_run_reply(&v), "rendering drifted");
+        }
+        if let Some(edges) = v.get("new_edges").and_then(Value::as_array) {
+            let joined: Vec<String> = edges
+                .iter()
+                .map(|e| (e.as_f64().expect("edge ids") as u64).to_string())
+                .collect();
+            assert_eq!(
+                raw.trim_end(),
+                format!("{{\"ok\":true,\"new_edges\":[{}]}}", joined.join(","))
+            );
+        }
+    }
+    assert_eq!(
+        kinds.into_iter().collect::<Vec<_>>(),
+        ["exact", "similar"],
+        "the script must see both run kinds"
+    );
+
+    // `too_many_connections`: the scripted connection holds the only slot.
+    let (_refused, mut refused_reader) = connect(server.local_addr());
+    assert_eq!(
+        read_raw(&mut refused_reader),
+        "{\"ok\":false,\"error\":\"too_many_connections\",\"message\":\"connection limit reached\"}\n"
+    );
+
+    // `line_too_long`, terminated: what `handle_line` says about the same
+    // line, then the hang-up. (When the kernel delivers the line so that
+    // the cap is crossed before its newline has been read, the
+    // unterminated path answers instead and its close can reset the
+    // frame away — so the bytes are asserted when they arrive.)
+    let long = "x".repeat(prague_server::MAX_LINE + 1);
+    let expected = direct.handle_line(&long, Some(&mut owned)) + "\n";
+    let unterminated =
+        "{\"ok\":false,\"error\":\"line_too_long\",\"message\":\"frame exceeds the line cap\"}\n";
+    send_line(&mut stream, &long);
+    let mut raw = String::new();
+    if reader.read_line(&mut raw).is_ok() && !raw.is_empty() {
+        assert!(raw == expected || raw == unterminated, "{raw}");
+    }
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap_or(0), 0, "hang-up");
+    drop((stream, reader));
+
+    // `line_too_long`, unterminated: exactly one byte over the cap, so
+    // the server has read everything sent before it answers and closes.
+    wait_until("the only connection slot is free again", || {
+        let Ok(mut s) = TcpStream::connect(server.local_addr()) else {
+            return false;
+        };
+        let garbage = vec![b'x'; prague_server::MAX_LINE + 1];
+        if s.set_read_timeout(Some(Duration::from_secs(5))).is_err()
+            || s.write_all(&garbage).is_err()
+        {
+            return false;
+        }
+        let mut reply = String::new();
+        BufReader::new(s).read_line(&mut reply).ok();
+        if reply.contains("too_many_connections") {
+            return false;
+        }
+        assert_eq!(reply, unterminated);
+        true
     });
     server.shutdown();
 }
